@@ -85,11 +85,11 @@ class QueryKernel:
     on_enumerate:
         Optional callback receiving the freshly built
         :class:`TriangleIncidence` whenever :meth:`ensure_incidence` had to
-        enumerate from scratch.  The engine passes
-        :meth:`~repro.engine.EngineSnapshot._adopt_incidence` here so
-        lazy kernel-side enumerations land back on the snapshot (making the
-        artifact patchable forward) and are counted in
-        :attr:`~repro.engine.EngineStats.incidence_enumerations`.
+        enumerate from scratch.  The engine passes a callback here that
+        holds its snapshot weakly, so lazy kernel-side enumerations land
+        back on the snapshot (making the artifact patchable forward) and are
+        counted in :attr:`~repro.engine.EngineStats.incidence_enumerations`
+        without the kernel keeping the snapshot alive.
 
     A ``QueryKernel`` is immutable-by-contract like the snapshot it wraps;
     :class:`~repro.engine.EngineSnapshot` memoizes one per snapshot so the

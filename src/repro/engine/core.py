@@ -29,11 +29,12 @@ snapshot miss the engine picks between two build paths:
 * **delta apply** — if a cached snapshot plus a contiguous, fully-retained
   run of log entries reaches the current version, and the composed delta is
   small relative to that snapshot (``delta.size() <= delta_threshold *
-  edges``), the new snapshot is produced by patching: the frozen store copy
-  is edited in place, :meth:`CSRGraph.apply_delta` rewrites only touched
-  adjacency rows, incremental truss maintenance
-  (:mod:`repro.trusses.incremental`) re-evaluates only the affected edges,
-  and :meth:`TrussIndex.patched` rebuilds only touched index entries.
+  edges``), the new snapshot is produced by patching:
+  :meth:`CSRGraph.apply_delta` rewrites only touched adjacency rows,
+  incremental truss maintenance (:mod:`repro.trusses.incremental`)
+  re-evaluates only the affected edges, and — only when the base snapshot
+  kept a dict-path index warm — a copy of its dict-form graph is edited and
+  :meth:`TrussIndex.patched` rebuilds only touched index entries.
 * **full rebuild** — otherwise (cold cache, log truncation, or a delta too
   large for patching to win), the classic freeze + CSR decomposition runs.
 
@@ -76,8 +77,9 @@ Caching / invalidation contract
   mutation hooks, which deliver the cascade's ``GraphDelta``; hook dispatch
   is exception-safe, so the version bump and log append happen even if
   another hook raises mid-batch.
-* A snapshot, once built, is immutable: it holds a private frozen copy of
-  the store, so in-flight results never see later mutations.
+* A snapshot, once built, is immutable: it holds its own frozen arrays
+  (and a private dict-form graph, thawed from them on demand), so
+  in-flight results never see later mutations.
 
 Concurrency: epoch-pinned snapshots
 -----------------------------------
@@ -106,6 +108,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -169,10 +172,11 @@ class EngineSnapshot:
     The eagerly built attributes are the array replica — ``csr`` (the
     frozen CSR form) and ``trussness`` (the per-edge-id trussness array
     the incremental maintenance of the *next* delta apply consumes).
-    ``graph`` (a private frozen dict-form copy, never mutated) is eager on
-    the ordinary build paths but lazily thawed from ``csr`` when the
-    snapshot was seeded straight from frozen arrays (``graph=None``).
-    Everything derived for query execution is **lazy**:
+    ``graph`` (a private frozen dict-form copy, never mutated) is handed
+    over by a full rebuild and by a delta apply whose base kept a dict-path
+    index warm; every other snapshot — delta-built, recovered, seeded from
+    shared memory — is built with ``graph=None`` and thaws it from ``csr``
+    on first access.  Everything derived for query execution is **lazy**:
 
     * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` the
       CSR-native query path runs on, memoized so its sorted-adjacency
@@ -203,6 +207,11 @@ class EngineSnapshot:
     enumeration ran on behalf of this snapshot, so
     :attr:`EngineStats.incidence_enumerations` stays exact even for lazy
     kernel-side enumerations.
+
+    Nothing a snapshot owns refers back to it (the kernel reaches it
+    through a weak reference), so an evicted snapshot is freed by
+    reference counting the moment its last reader lets go, not at the
+    next cyclic collection.
     """
 
     __slots__ = (
@@ -216,6 +225,7 @@ class EngineSnapshot:
         "_kernel",
         "_on_enumerate",
         "_lazy_lock",
+        "__weakref__",
     )
 
     def __init__(
@@ -247,11 +257,13 @@ class EngineSnapshot:
     def graph(self) -> UndirectedGraph:
         """The snapshot's frozen dict-form store (never mutated).
 
-        Snapshots seeded straight from frozen arrays — a recovered
-        checkpoint, a serving worker's shared-memory baseline — are built
-        with ``graph=None`` and thaw the dict form from :attr:`csr` on
-        first access, so array-kernel consumers never pay the O(m) Python
-        reconstruction.
+        Delta-built snapshots and those seeded straight from frozen arrays
+        — a recovered checkpoint, a serving worker's shared-memory baseline
+        — are built with ``graph=None`` and thaw the dict form from
+        :attr:`csr` on first access, so array-kernel consumers never pay
+        the O(m) Python reconstruction.  A thawed graph holds the same
+        nodes and edges as the store at this version, inserted in
+        :attr:`csr` label order rather than the store's.
         """
         if self._graph is None:
             with self._lazy_lock:
@@ -260,10 +272,11 @@ class EngineSnapshot:
         return self._graph
 
     def _adopt_incidence(self, incidence: TriangleIncidence) -> None:
-        """Adopt a kernel's lazily enumerated incidence and report the cost.
+        """Adopt a kernel's lazily enumerated incidence.
 
-        Called by the snapshot's :class:`~repro.ctc.kernels.QueryKernel`
-        when :meth:`~repro.ctc.kernels.QueryKernel.ensure_incidence` had to
+        Called (through :func:`_incidence_adopter`) by the snapshot's
+        :class:`~repro.ctc.kernels.QueryKernel` when
+        :meth:`~repro.ctc.kernels.QueryKernel.ensure_incidence` had to
         enumerate from scratch; keeping the artifact on the snapshot lets
         the next delta apply patch it forward instead of enumerating again.
         """
@@ -272,8 +285,6 @@ class EngineSnapshot:
                 self.incidence = incidence
                 if self._supports is None:
                     self._supports = incidence.supports
-        if self._on_enumerate is not None:
-            self._on_enumerate()
 
     @property
     def supports(self) -> np.ndarray:
@@ -316,7 +327,7 @@ class EngineSnapshot:
                         self.csr,
                         self.trussness,
                         incidence=self.incidence,
-                        on_enumerate=self._adopt_incidence,
+                        on_enumerate=_incidence_adopter(self),
                     )
         return self._kernel
 
@@ -326,6 +337,29 @@ class EngineSnapshot:
             f"nodes={self.csr.number_of_nodes()}, "
             f"edges={self.csr.number_of_edges()})"
         )
+
+
+def _incidence_adopter(snapshot: EngineSnapshot):
+    """Return the ``on_enumerate`` callback of ``snapshot``'s kernel.
+
+    It adopts the enumerated incidence onto the snapshot and counts the
+    enumeration with the engine.  It holds the snapshot only weakly: a
+    bound ``snapshot._adopt_incidence`` would close a snapshot -> kernel ->
+    snapshot cycle and leave every evicted snapshot, arrays and all, for
+    the cyclic collector.  A kernel that outlives its snapshot (shared by a
+    cancelling-delta clone) still counts the enumeration.
+    """
+    ref = weakref.ref(snapshot)
+    note = snapshot._on_enumerate
+
+    def adopt(incidence: TriangleIncidence) -> None:
+        target = ref()
+        if target is not None:
+            target._adopt_incidence(incidence)
+        if note is not None:
+            note()
+
+    return adopt
 
 
 @dataclass
@@ -1273,14 +1307,21 @@ class CTCEngine:
     def _build_from_delta(
         self, base: EngineSnapshot, delta: GraphDelta, version: int
     ) -> EngineSnapshot:
-        """Patch ``base`` with ``delta``: the incremental leg of the pipeline."""
+        """Patch ``base`` with ``delta``: the incremental leg of the pipeline.
+
+        The new snapshot gets no dict-form graph (it thaws from its CSR on
+        demand) unless ``base`` kept a dict-path index warm: only then is
+        the base graph copied and edited, because the patched index needs it.
+        """
         if delta.is_empty():
             # Mutations cancelled out (e.g. an edge removed and re-added):
             # the base snapshot's content is exactly current, so every
-            # derived structure (index, kernel) can be shared as-is.
+            # derived structure (index, kernel) can be shared as-is.  The
+            # graph cell is shared as it stands, so an unthawed base stays
+            # unthawed.
             clone = EngineSnapshot(
                 version=version,
-                graph=base.graph,
+                graph=base._graph,
                 csr=base.csr,
                 trussness=base.trussness,
                 index=base._index,
@@ -1290,9 +1331,6 @@ class CTCEngine:
             )
             clone._kernel = base._kernel
             return clone
-
-        frozen = base.graph.copy()
-        _apply_delta_to_graph(frozen, delta)
 
         patch = base.csr.apply_delta(delta)
         incidence: TriangleIncidence | None = None
@@ -1312,10 +1350,14 @@ class CTCEngine:
         )
         csr = patch.csr
 
+        frozen: UndirectedGraph | None = None
         index: TrussIndex | None = None
         if base.has_index():
             # The base version served dict-path consumers, so keep the
-            # patched index warm; otherwise stay lazy and skip the work.
+            # patched index (and the graph it is built on) warm; otherwise
+            # stay lazy and skip the work.
+            frozen = base.graph.copy()
+            _apply_delta_to_graph(frozen, delta)
             trussness_updates: dict = {}
             touched_nodes = delta.touched_labels() - delta.removed_nodes
             for edge in changed.tolist():
