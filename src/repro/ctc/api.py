@@ -3,8 +3,9 @@
 Most users want "give me the closest truss community for these query nodes"
 without wiring the index, algorithm class and parameters themselves.  The
 facade accepts a plain graph, a prebuilt :class:`TrussIndex`, or a
-:class:`~repro.engine.CTCEngine` (whose cached snapshot index is used), a
-query, and a method name, and dispatches to the right implementation:
+:class:`~repro.engine.CTCEngine` (whose cached snapshot is queried through
+its CSR kernels), a query, and a method name, and dispatches to the right
+implementation:
 
 ======================  ===========================================================
 ``method``              algorithm
@@ -66,7 +67,7 @@ def build_engine(
     """Build (and return) a :class:`~repro.engine.CTCEngine` over ``graph``.
 
     The engine is the right entry point for *mixed* workloads: reads are
-    served from cached CSR/TrussIndex snapshots, and mutations issued
+    served from cached CSR snapshots, and mutations issued
     through the engine propagate to those snapshots as structured
     :class:`~repro.graph.delta.GraphDelta` batches (patched in place while
     small, rebuilt from scratch past ``delta_threshold``).  ``window``
@@ -99,7 +100,6 @@ def search(
     gamma: float = DEFAULT_GAMMA,
     max_trussness_k: int | None = None,
     time_budget_seconds: float | None = None,
-    kernel: str = "csr",
     at_version: int | None = None,
 ) -> CommunityResult:
     """Find a community containing ``query`` in ``graph``.
@@ -111,7 +111,10 @@ def search(
         cost once per graph by preferring the alternatives for repeated
         queries), a prebuilt :class:`TrussIndex`, a
         :class:`~repro.engine.CTCEngine` (served from its cached snapshot),
-        or a pinned :class:`~repro.engine.EngineSnapshot`.
+        or a pinned :class:`~repro.engine.EngineSnapshot`.  Graphs and
+        indexes run the dict-path algorithms; engines and snapshots run the
+        same algorithms on the snapshot's array kernels
+        (:mod:`repro.ctc.kernels`), which return identical communities.
     query:
         Non-empty sequence of query nodes; duplicates are ignored.
     method:
@@ -124,13 +127,6 @@ def search(
     time_budget_seconds:
         Optional wall-clock cap for the global methods (``basic``,
         ``bulk-delete``), mirroring the paper's one-hour limit.
-    kernel:
-        Execution path for engine/snapshot inputs: ``"csr"`` (default) runs
-        the CTC methods on the snapshot's array kernels
-        (:mod:`repro.ctc.kernels`), ``"dict"`` forces the classic dict path
-        through the snapshot's lazily built :class:`TrussIndex`.  Both
-        return identical communities; plain graphs and prebuilt indexes
-        always use the dict path.
     at_version:
         Pin the read to a historical store version (a time-travel read via
         :meth:`~repro.engine.CTCEngine.snapshot_at`).  Only valid when
@@ -146,15 +142,11 @@ def search(
     Raises
     ------
     ConfigurationError
-        If ``method`` or ``kernel`` is unknown.
+        If ``method`` is unknown.
     QueryError, NoCommunityFoundError
         Propagated from the underlying algorithm when the query is invalid
         or no community exists.
     """
-    if kernel not in ("csr", "dict"):
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected 'csr' or 'dict'"
-        )
     # Imported lazily: repro.engine depends on this module for search().
     from repro.engine import CTCEngine, EngineSnapshot
 
@@ -163,34 +155,24 @@ def search(
             "at_version requires a CTCEngine input (only the engine's delta "
             "log can materialize historical versions)"
         )
-    snapshot = None
-    if isinstance(graph, TrussIndex):
-        index = graph
-    elif isinstance(graph, CTCEngine):
-        snapshot = graph.snapshot_at(at_version)
-    elif isinstance(graph, EngineSnapshot):
-        snapshot = graph
-    else:
-        index = TrussIndex(graph)
-    if method in _BASELINE_METHODS:
-        # The baselines only ever need the frozen graph, never an index, so
-        # dispatch them before the kernel knob can force a lazy index build.
-        baseline_graph = snapshot.graph if snapshot is not None else index.graph
-        if method == "mdc":
-            from repro.baselines.mdc import MinimumDegreeCommunity
-
-            return MinimumDegreeCommunity(baseline_graph).search(query)
-        from repro.baselines.qdc import QueryBiasedDensestCommunity
-
-        return QueryBiasedDensestCommunity(baseline_graph).search(query)
-
-    if snapshot is not None and kernel == "dict":
-        index = snapshot.index
-        snapshot = None
     # The CTC algorithm classes dispatch on what they are handed: an
     # EngineSnapshot selects the CSR-native kernels, a TrussIndex the dict
     # path (see repro.ctc.kernels.kernel_of).
-    target = snapshot if snapshot is not None else index
+    if isinstance(graph, CTCEngine):
+        target = graph.snapshot_at(at_version)
+    elif isinstance(graph, (TrussIndex, EngineSnapshot)):
+        target = graph
+    else:
+        target = TrussIndex(graph)
+    if method in _BASELINE_METHODS:
+        # The baselines read only the frozen graph.
+        if method == "mdc":
+            from repro.baselines.mdc import MinimumDegreeCommunity
+
+            return MinimumDegreeCommunity(target.graph).search(query)
+        from repro.baselines.qdc import QueryBiasedDensestCommunity
+
+        return QueryBiasedDensestCommunity(target.graph).search(query)
 
     if method == "basic":
         return BasicCTC(target, time_budget_seconds=time_budget_seconds).search(query)

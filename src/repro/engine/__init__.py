@@ -1,4 +1,4 @@
-"""Read-optimized query engine: mutable store + cached CSR/index snapshots.
+"""Read-optimized query engine: mutable store + cached CSR snapshots.
 
 Mutations propagate to the cached read replicas through structured
 :class:`~repro.graph.delta.GraphDelta` batches and an incremental rebuild

@@ -13,9 +13,9 @@ arXiv:2103.00798): one **mutable store** (an
 every analytical query is served from a **frozen snapshot** of that store —
 a :class:`~repro.graph.csr.CSRGraph` plus the per-edge trussness array its
 CSR-fast-path decomposition produced.  Queries execute on the snapshot's
-CSR-native kernels (:mod:`repro.ctc.kernels`) by default; the dict-path
-:class:`TrussIndex` is derived lazily for consumers that ask for it
-(``kernel="dict"``, direct ``snapshot().index`` access).
+CSR-native kernels (:mod:`repro.ctc.kernels`); the dict-path
+:class:`TrussIndex` is only the reference that the property suites and the
+benchmark oracle compare those kernels against.
 
 Delta propagation / rebuild policy
 ----------------------------------
@@ -30,11 +30,9 @@ snapshot miss the engine picks between two build paths:
   run of log entries reaches the current version, and the composed delta is
   small relative to that snapshot (``delta.size() <= delta_threshold *
   edges``), the new snapshot is produced by patching:
-  :meth:`CSRGraph.apply_delta` rewrites only touched adjacency rows,
+  :meth:`CSRGraph.apply_delta` rewrites only touched adjacency rows, and
   incremental truss maintenance (:mod:`repro.trusses.incremental`)
-  re-evaluates only the affected edges, and — only when the base snapshot
-  kept a dict-path index warm — a copy of its dict-form graph is edited and
-  :meth:`TrussIndex.patched` rebuilds only touched index entries.
+  re-evaluates only the affected edges.
 * **full rebuild** — otherwise (cold cache, log truncation, or a delta too
   large for patching to win), the classic freeze + CSR decomposition runs.
 
@@ -135,7 +133,6 @@ from repro.graph.delta import GraphDelta
 from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.csr_decomposition import csr_decompose, csr_edge_supports
 from repro.trusses.incremental import incremental_truss_update
-from repro.trusses.index import TrussIndex
 from repro.trusses.maintenance import KTrussMaintainer
 
 if TYPE_CHECKING:
@@ -167,24 +164,20 @@ def _apply_delta_to_graph(graph: UndirectedGraph, delta: GraphDelta) -> None:
 
 
 class EngineSnapshot:
-    """One frozen version of the engine's store, indexed on demand.
+    """One frozen version of the engine's store, queried through its kernel.
 
     The eagerly built attributes are the array replica — ``csr`` (the
     frozen CSR form) and ``trussness`` (the per-edge-id trussness array
     the incremental maintenance of the *next* delta apply consumes).
     ``graph`` (a private frozen dict-form copy, never mutated) is handed
-    over by a full rebuild and by a delta apply whose base kept a dict-path
-    index warm; every other snapshot — delta-built, recovered, seeded from
-    shared memory — is built with ``graph=None`` and thaws it from ``csr``
-    on first access.  Everything derived for query execution is **lazy**:
+    over by a full rebuild; every other snapshot — delta-built, recovered,
+    seeded from shared memory — is built with ``graph=None`` and thaws it
+    from ``csr`` on first access.  Everything derived for query execution
+    is **lazy**:
 
-    * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` the
-      CSR-native query path runs on, memoized so its sorted-adjacency
-      arrays amortize across every query on this version;
-    * :attr:`index` — the dict-path :class:`TrussIndex`, built (together
-      with its O(m) canonical-edge-key trussness dict) only when a
-      dict-path consumer first asks for it.  A snapshot serving only
-      CSR-native queries never pays for it;
+    * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` every
+      CTC query runs on, memoized so its sorted-adjacency arrays amortize
+      across every query on this version;
     * :attr:`supports` — the per-edge-id triangle counts; a full rebuild
       hands them over from the decomposition (which computes them anyway)
       and a delta apply from the patched incidence, so consumers no longer
@@ -221,7 +214,6 @@ class EngineSnapshot:
         "trussness",
         "incidence",
         "_supports",
-        "_index",
         "_kernel",
         "_on_enumerate",
         "_lazy_lock",
@@ -234,7 +226,6 @@ class EngineSnapshot:
         graph: UndirectedGraph | None,
         csr: CSRGraph,
         trussness: np.ndarray,
-        index: TrussIndex | None = None,
         *,
         supports: np.ndarray | None = None,
         incidence: TriangleIncidence | None = None,
@@ -246,7 +237,6 @@ class EngineSnapshot:
         self.trussness = trussness
         self.incidence = incidence
         self._supports = supports
-        self._index = index
         self._kernel: "QueryKernel | None" = None
         self._on_enumerate = on_enumerate
         #: Serializes the lazy builds below so concurrent readers of one
@@ -297,23 +287,6 @@ class EngineSnapshot:
                     else:
                         self._supports = csr_edge_supports(self.csr)
         return self._supports
-
-    @property
-    def index(self) -> TrussIndex:
-        """The dict-path :class:`TrussIndex`, built lazily on first access."""
-        if self._index is None:
-            with self._lazy_lock:
-                if self._index is None:
-                    edge_trussness = {
-                        self.csr.edge_key_of(edge): int(self.trussness[edge])
-                        for edge in range(self.csr.number_of_edges())
-                    }
-                    self._index = TrussIndex(self.graph, edge_trussness=edge_trussness)
-        return self._index
-
-    def has_index(self) -> bool:
-        """Return ``True`` if the dict-path index has already been built."""
-        return self._index is not None
 
     @property
     def kernel(self) -> "QueryKernel":
@@ -445,12 +418,12 @@ class SnapshotLease:
         return self._released
 
     def query(
-        self, query: Sequence[Hashable], method: str = "lctc", *, kernel: str = "csr", **kwargs
+        self, query: Sequence[Hashable], method: str = "lctc", **kwargs
     ) -> CommunityResult:
         """Answer one query against the pinned snapshot (never a newer one)."""
         from repro.ctc.api import search
 
-        return search(self.snapshot, query, method=method, kernel=kernel, **kwargs)
+        return search(self.snapshot, query, method=method, **kwargs)
 
     def release(self) -> None:
         """Drop the pin (idempotent); reclamation may then evict the version."""
@@ -1280,10 +1253,7 @@ class CTCEngine:
         from the ``decomp`` knob) and hands every artifact of the pass —
         trussness, supports, and the triangle incidence when the vector
         strategy enumerated one — to the snapshot, so nothing is computed
-        twice downstream.  The dict-path :class:`TrussIndex` (and its O(m)
-        canonical-edge-key trussness dict) is *not* built here —
-        :attr:`EngineSnapshot.index` materializes it on first dict-path
-        access.
+        twice downstream.
         """
         csr = CSRGraph.from_graph(frozen)
         result = csr_decompose(csr, method=self._decomp)
@@ -1309,14 +1279,13 @@ class CTCEngine:
     ) -> EngineSnapshot:
         """Patch ``base`` with ``delta``: the incremental leg of the pipeline.
 
-        The new snapshot gets no dict-form graph (it thaws from its CSR on
-        demand) unless ``base`` kept a dict-path index warm: only then is
-        the base graph copied and edited, because the patched index needs it.
+        The new snapshot gets no dict-form graph; it thaws one from its CSR
+        on demand.
         """
         if delta.is_empty():
             # Mutations cancelled out (e.g. an edge removed and re-added):
             # the base snapshot's content is exactly current, so every
-            # derived structure (index, kernel) can be shared as-is.  The
+            # derived structure (kernel, supports) can be shared as-is.  The
             # graph cell is shared as it stands, so an unthawed base stays
             # unthawed.
             clone = EngineSnapshot(
@@ -1324,7 +1293,6 @@ class CTCEngine:
                 graph=base._graph,
                 csr=base.csr,
                 trussness=base.trussness,
-                index=base._index,
                 supports=base._supports,
                 incidence=base.incidence,
                 on_enumerate=self._note_enumeration,
@@ -1341,43 +1309,18 @@ class CTCEngine:
             incidence = patch_incidence(base.incidence, patch)
             with self._mutex:
                 self.stats.incidence_patches += 1
-        trussness, changed = incremental_truss_update(
+        trussness = incremental_truss_update(
             base.csr,
             base.trussness,
             patch,
             incidence=base.incidence,
             new_incidence=incidence,
         )
-        csr = patch.csr
-
-        frozen: UndirectedGraph | None = None
-        index: TrussIndex | None = None
-        if base.has_index():
-            # The base version served dict-path consumers, so keep the
-            # patched index (and the graph it is built on) warm; otherwise
-            # stay lazy and skip the work.
-            frozen = base.graph.copy()
-            _apply_delta_to_graph(frozen, delta)
-            trussness_updates: dict = {}
-            touched_nodes = delta.touched_labels() - delta.removed_nodes
-            for edge in changed.tolist():
-                trussness_updates[csr.edge_key_of(edge)] = int(trussness[edge])
-                u, v = csr.edge_endpoint_ids(edge)
-                touched_nodes.add(csr.node_label(u))
-                touched_nodes.add(csr.node_label(v))
-            index = base.index.patched(
-                frozen,
-                trussness_updates=trussness_updates,
-                dropped_edges=delta.removed_edges,
-                dropped_nodes=delta.removed_nodes,
-                touched_nodes=touched_nodes,
-            )
         return EngineSnapshot(
             version=version,
-            graph=frozen,
-            csr=csr,
+            graph=None,
+            csr=patch.csr,
             trussness=trussness,
-            index=index,
             supports=incidence.supports if incidence is not None else None,
             incidence=incidence,
             on_enumerate=self._note_enumeration,
@@ -1413,33 +1356,27 @@ class CTCEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one CTC/baseline query from the current (or a pinned) snapshot.
 
         ``method`` and keyword arguments are those of
-        :func:`repro.ctc.api.search`.  ``kernel`` selects the execution
-        path: ``"csr"`` (default) runs the CTC methods on the snapshot's
-        array kernels, ``"dict"`` forces the classic dict path through the
-        snapshot's (lazily built) :class:`TrussIndex`.  ``at_version`` pins
-        the read to a historical store version via :meth:`snapshot_at` (a
-        time-travel read; ``None`` reads the current version).  Either way
-        no per-query decomposition happens.
+        :func:`repro.ctc.api.search`; the CTC methods run on the snapshot's
+        array kernels.  ``at_version`` pins the read to a historical store
+        version via :meth:`snapshot_at` (a time-travel read; ``None`` reads
+        the current version).  Either way no per-query decomposition
+        happens.
         """
         from repro.ctc.api import search
 
-        return search(
-            self.snapshot_at(at_version), query, method=method, kernel=kernel, **kwargs
-        )
+        return search(self.snapshot_at(at_version), query, method=method, **kwargs)
 
     def query_batch(
         self,
         queries: Iterable[Sequence[Hashable]],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         **kwargs,
     ) -> list[CommunityResult]:
@@ -1447,16 +1384,12 @@ class CTCEngine:
 
         The snapshot is resolved once up front, so every query in the batch
         sees the same graph version even if another thread of control
-        mutates the store mid-batch.  ``kernel`` and ``at_version`` are as
-        in :meth:`query`.
+        mutates the store mid-batch.  ``at_version`` is as in :meth:`query`.
         """
         from repro.ctc.api import search
 
         snapshot = self.snapshot_at(at_version)
-        return [
-            search(snapshot, query, method=method, kernel=kernel, **kwargs)
-            for query in queries
-        ]
+        return [search(snapshot, query, method=method, **kwargs) for query in queries]
 
     def __repr__(self) -> str:
         # A lazy (not-yet-thawed) store answers counts from the CSR so

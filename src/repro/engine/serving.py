@@ -367,7 +367,7 @@ def _shard_worker(
 
     * ``("mutate", op_name, args)`` — apply a store mutation; no reply
       (fire-and-forget keeps the parent's writer non-blocking).
-    * ``("query_batch", rid, queries, method, kernel, kwargs, directives)``
+    * ``("query_batch", rid, queries, method, kwargs, directives)``
       — answer every query against one snapshot; replies
       ``("result", rid, [("ok", result) | ("err", exc), ...], version)``.
       ``directives`` carries fault-injection orders: ``poison`` exits the
@@ -440,7 +440,7 @@ def _shard_worker(
                     # and is safe to drop.
                     pass
             elif op == "query_batch":
-                _, rid, queries, method, kernel, kwargs, directives = message
+                _, rid, queries, method, kwargs, directives = message
                 if directives.get("poison"):
                     # Simulate a query taking its executor down mid-batch:
                     # no reply, no cleanup — the parent must recover.
@@ -449,9 +449,7 @@ def _shard_worker(
                 replies = []
                 for query in queries:
                     try:
-                        result = search(
-                            snapshot, query, method=method, kernel=kernel, **kwargs
-                        )
+                        result = search(snapshot, query, method=method, **kwargs)
                         replies.append(("ok", result))
                     except Exception as exc:
                         replies.append(("err", _picklable_exception(exc)))
@@ -478,11 +476,12 @@ class ServingEngine:
         *in place* (sharing its store and cache), process mode freezes its
         current snapshot as the shard baseline — or a durability data
         directory (``str`` / ``os.PathLike``), which is cold-started via
-        :meth:`CTCEngine.recover` first.  A path source in thread mode
-        keeps logging served mutations to the recovered WAL (and closes it
-        with the front-end); in process mode the recovered store is only
-        the *frozen baseline* — mutations routed to workers afterwards are
-        **not** written back to the data directory.
+        :meth:`CTCEngine.recover` first and keeps logging served mutations
+        to the recovered WAL (closed with the front-end).  Durable sources
+        are thread-mode only: process mode routes mutations to shard
+        workers that have no write-ahead log, so a data directory or an
+        engine with ``durability`` set raises
+        :class:`~repro.exceptions.ConfigurationError` there.
     workers:
         Thread-pool width (thread mode) / maximum shard worker processes
         (process mode; capped by the number of connected components).
@@ -531,6 +530,14 @@ class ServingEngine:
             raise ValueError(f"max_respawns must be >= 1, got {max_respawns}")
         if respawn_backoff < 0:
             raise ValueError(f"respawn_backoff must be >= 0, got {respawn_backoff}")
+        if mode == "process" and (
+            isinstance(source, (str, os.PathLike))
+            or (isinstance(source, CTCEngine) and source.durability is not None)
+        ):
+            raise ConfigurationError(
+                "a durable source requires mode='thread': process mode routes "
+                "mutations to shard workers, bypassing the write-ahead log"
+            )
         self._mode = mode
         self._workers = workers
         self._engine_kwargs = dict(engine_kwargs)
@@ -568,11 +575,6 @@ class ServingEngine:
                 self._last_version: int | None = None
             else:
                 self._start_process_workers(source)
-                if self._recovered is not None:
-                    # The baseline is frozen into the shard bundles; routed
-                    # mutations are not logged, so release the WAL now.
-                    self._recovered.close()
-                    self._recovered = None
                 _register_signal_cleanup(self)
         except BaseException:
             if self._recovered is not None:
@@ -849,7 +851,7 @@ class ServingEngine:
         return self._respawn(shard)
 
     def _dispatch(
-        self, shard: int, queries: list, method: str, kernel: str, kwargs: dict,
+        self, shard: int, queries: list, method: str, kwargs: dict,
         shard_budget: float | None,
     ) -> int:
         """Send one query batch to ``shard``; returns the reply rid.
@@ -879,7 +881,7 @@ class ServingEngine:
         rid = next(self._rid)
         try:
             self._conns[shard].send(
-                ("query_batch", rid, queries, method, kernel, send_kwargs, directives)
+                ("query_batch", rid, queries, method, send_kwargs, directives)
             )
         except (BrokenPipeError, OSError):
             raise _WorkerCrashed(f"shard {shard} pipe broke on dispatch") from None
@@ -929,7 +931,6 @@ class ServingEngine:
         positions: list[int],
         batch: list,
         method: str,
-        kernel: str,
         kwargs: dict,
         deadlines: list,
         budgets: list,
@@ -974,12 +975,7 @@ class ServingEngine:
                     if not self._ensure_worker(shard):
                         continue  # quarantined: loop fills the error slots
                     rid = self._dispatch(
-                        shard,
-                        [batch[p] for p in pending],
-                        method,
-                        kernel,
-                        kwargs,
-                        shard_budget,
+                        shard, [batch[p] for p in pending], method, kwargs, shard_budget
                     )
                 replies, version = self._collect(shard, rid, deadline)
             except _DeadlineExpired:
@@ -1189,15 +1185,13 @@ class ServingEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         timeout: float | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one query (a batch of one; prefer :meth:`query_batch`)."""
         return self.query_batch(
-            [query], method, kernel=kernel, at_version=at_version, timeout=timeout,
-            **kwargs,
+            [query], method, at_version=at_version, timeout=timeout, **kwargs
         )[0]
 
     def query_batch(
@@ -1205,7 +1199,6 @@ class ServingEngine:
         queries: Iterable[Sequence[Hashable]],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         at_version: int | None = None,
         timeout=None,
         return_exceptions: bool = False,
@@ -1242,16 +1235,14 @@ class ServingEngine:
                     "thread mode (or a plain CTCEngine) for time-travel reads"
                 )
             return self._query_batch_process(
-                batch, method, kernel, kwargs, return_exceptions, deadlines, budgets
+                batch, method, kwargs, return_exceptions, deadlines, budgets
             )
         return self._query_batch_thread(
-            batch, method, kernel, at_version, kwargs, return_exceptions,
-            deadlines, budgets,
+            batch, method, at_version, kwargs, return_exceptions, deadlines, budgets
         )
 
     def _query_batch_thread(
-        self, batch, method, kernel, at_version, kwargs, return_exceptions,
-        deadlines, budgets,
+        self, batch, method, at_version, kwargs, return_exceptions, deadlines, budgets
     ) -> list:
         from repro.ctc.api import search
 
@@ -1281,12 +1272,9 @@ class ServingEngine:
                     self.stats.snapshot_reuses += 1
                 self._last_version = lease.version
             snapshot = lease.snapshot
-            # Warm the lazy per-version structure once, before the fan-out,
-            # so the workers never race to build it B times.
-            if kernel == "dict":
-                snapshot.index
-            else:
-                snapshot.kernel
+            # Warm the lazy per-version kernel once, before the fan-out, so
+            # the workers never race to build it B times.
+            snapshot.kernel
             if not batch:
                 return []
 
@@ -1319,9 +1307,7 @@ class ServingEngine:
                 ):
                     call_kwargs = dict(kwargs, time_budget_seconds=budgets[index])
                 try:
-                    return search(
-                        snapshot, query, method=method, kernel=kernel, **call_kwargs
-                    )
+                    return search(snapshot, query, method=method, **call_kwargs)
                 except Exception as exc:
                     return exc
 
@@ -1351,7 +1337,7 @@ class ServingEngine:
         return results
 
     def _query_batch_process(
-        self, batch, method, kernel, kwargs, return_exceptions, deadlines, budgets
+        self, batch, method, kwargs, return_exceptions, deadlines, budgets
     ) -> list:
         results: list = [None] * len(batch)
         per_shard: dict[int, list[int]] = defaultdict(list)
@@ -1386,12 +1372,7 @@ class ServingEngine:
                     shard_budget = min(member_budgets) if member_budgets else None
                     try:
                         rid = self._dispatch(
-                            shard,
-                            [batch[p] for p in positions],
-                            method,
-                            kernel,
-                            kwargs,
-                            shard_budget,
+                            shard, [batch[p] for p in positions], method, kwargs, shard_budget
                         )
                     except _WorkerCrashed:
                         self._mark_dead(shard)
@@ -1399,7 +1380,7 @@ class ServingEngine:
                 dispatched[shard] = rid
             for shard, positions in per_shard.items():
                 self._serve_shard(
-                    shard, positions, batch, method, kernel, kwargs,
+                    shard, positions, batch, method, kwargs,
                     deadlines, budgets, results, rid=dispatched[shard],
                 )
         if not return_exceptions:
@@ -1436,14 +1417,13 @@ class ServingEngine:
         query: Sequence[Hashable],
         method: str = "lctc",
         *,
-        kernel: str = "csr",
         timeout: float | None = None,
         **kwargs,
     ) -> CommunityResult:
         """Answer one query, coalescing with concurrently-awaiting callers.
 
         Every ``aquery`` call enqueues; a single drainer task groups the
-        backlog by ``(method, kernel, kwargs, timeout)`` and runs each group
+        backlog by ``(method, kwargs, timeout)`` and runs each group
         as one :meth:`query_batch` in a worker thread — so N coroutines
         gathered together resolve N queries against one pinned snapshot,
         without the callers knowing about each other.  ``timeout`` is this
@@ -1455,7 +1435,6 @@ class ServingEngine:
         future: asyncio.Future = loop.create_future()
         group = (
             method,
-            kernel,
             _kwargs_group_key(kwargs),
             None if timeout is None else float(timeout),
         )
@@ -1474,7 +1453,7 @@ class ServingEngine:
             groups: dict = defaultdict(list)
             for group, query, kwargs, future in backlog:
                 groups[group].append((query, kwargs, future))
-            for (method, kernel, _, timeout), items in groups.items():
+            for (method, _, timeout), items in groups.items():
                 # The group key is repr-based; two kwargs dicts can collide
                 # on repr without being equal (e.g. np.float64(1.0) vs 1.0).
                 # Sub-bucket by actual equality so no member ever runs with
@@ -1496,7 +1475,6 @@ class ServingEngine:
                                 self.query_batch,
                                 queries,
                                 method,
-                                kernel=kernel,
                                 timeout=timeout,
                                 return_exceptions=True,
                                 **bucket_kwargs,

@@ -106,17 +106,6 @@ class GraphDelta:
             + len(self.removed_edges)
         )
 
-    def touched_labels(self) -> set[Hashable]:
-        """Return every node label mentioned by the delta (endpoints included)."""
-        touched = set(self.added_nodes) | set(self.removed_nodes)
-        for u, v in self.added_edges:
-            touched.add(u)
-            touched.add(v)
-        for u, v in self.removed_edges:
-            touched.add(u)
-            touched.add(v)
-        return touched
-
     # ------------------------------------------------------------------
     def then(self, later: "GraphDelta") -> "GraphDelta":
         """Compose this delta with ``later`` (applied afterwards) into one delta.

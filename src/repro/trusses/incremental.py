@@ -101,15 +101,13 @@ def incremental_truss_update(
     *,
     incidence: TriangleIncidence | None = None,
     new_incidence: TriangleIncidence | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(new_trussness, changed_edge_ids)`` for a patched snapshot.
+) -> np.ndarray:
+    """Return the per-edge-id trussness array of a patched snapshot.
 
     ``old_trussness`` is the per-edge-id trussness of ``old_csr``;
     ``patch`` is the output of ``old_csr.apply_delta(...)``.  The returned
     array is indexed by the **new** snapshot's edge ids and equals a full
-    ``csr_truss_decomposition(patch.csr)`` recomputation; ``changed_edge_ids``
-    lists the new edge ids whose value differs from the carried-over old
-    value (inserted edges always count as changed).
+    ``csr_truss_decomposition(patch.csr)`` recomputation.
 
     ``incidence`` is an optional
     :class:`~repro.graph.csr_triangles.TriangleIncidence` of **old_csr**
@@ -296,6 +294,4 @@ def incremental_truss_update(
         members = candidates | {new_edge}
         drain(deque(sorted(members)), members)
 
-    result = np.asarray(trussness, dtype=np.int64)
-    changed = np.nonzero(result != carried)[0]
-    return result, changed
+    return np.asarray(trussness, dtype=np.int64)

@@ -21,7 +21,7 @@ The ``edge_trussness`` map consumed and stored here is keyed by
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterator
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graph.keys import EdgeKey, edge_key
@@ -71,61 +71,14 @@ class TrussIndex:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         for node in self._graph.nodes():
-            self._build_node(node)
-
-    def _build_node(self, node: Hashable) -> None:
-        """(Re)build one node's trussness-sorted adjacency entry.
-
-        The produced lists are treated as immutable from then on, which is
-        what lets :meth:`patched` share untouched entries between indexes.
-        """
-        incident = [
-            (self._edge_trussness[edge_key(node, other)], other)
-            for other in self._graph.neighbors(node)
-        ]
-        incident.sort(key=lambda pair: (-pair[0], repr(pair[1])))
-        self._sorted_adjacency[node] = [other for _, other in incident]
-        self._sorted_levels[node] = [-value for value, _ in incident]
-        self._vertex_trussness[node] = incident[0][0] if incident else 1
-
-    def patched(
-        self,
-        graph: UndirectedGraph,
-        *,
-        trussness_updates: dict[EdgeKey, int],
-        dropped_edges: Iterable[EdgeKey] = (),
-        dropped_nodes: Iterable[Hashable] = (),
-        touched_nodes: Iterable[Hashable] = (),
-    ) -> "TrussIndex":
-        """Return a new index for ``graph``, rebuilt only where it changed.
-
-        This is the truss-index leg of the engine's delta pipeline: given
-        the post-delta ``graph``, the canonical-key trussness updates (new
-        edges and edges whose trussness changed), the dropped edges/nodes,
-        and every node whose incident edge set or incident trussness
-        changed, it produces an index identical to ``TrussIndex(graph,
-        edge_trussness=...)`` built from scratch, but shares the
-        per-node sorted adjacency of untouched nodes with ``self``
-        (the shared lists are never mutated by either index).
-        """
-        clone = TrussIndex.__new__(TrussIndex)
-        clone._graph = graph
-        edge_trussness = dict(self._edge_trussness)
-        for key in dropped_edges:
-            edge_trussness.pop(key, None)
-        edge_trussness.update(trussness_updates)
-        clone._edge_trussness = edge_trussness
-        clone._sorted_adjacency = dict(self._sorted_adjacency)
-        clone._sorted_levels = dict(self._sorted_levels)
-        clone._vertex_trussness = dict(self._vertex_trussness)
-        for node in dropped_nodes:
-            clone._sorted_adjacency.pop(node, None)
-            clone._sorted_levels.pop(node, None)
-            clone._vertex_trussness.pop(node, None)
-        for node in touched_nodes:
-            if graph.has_node(node):
-                clone._build_node(node)
-        return clone
+            incident = [
+                (self._edge_trussness[edge_key(node, other)], other)
+                for other in self._graph.neighbors(node)
+            ]
+            incident.sort(key=lambda pair: (-pair[0], repr(pair[1])))
+            self._sorted_adjacency[node] = [other for _, other in incident]
+            self._sorted_levels[node] = [-value for value, _ in incident]
+            self._vertex_trussness[node] = incident[0][0] if incident else 1
 
     # ------------------------------------------------------------------
     # lookups

@@ -5,8 +5,9 @@ that for any graph and any query, running Basic, BulkDelete, LCTC or the
 Truss baseline on an :class:`EngineSnapshot`'s arrays returns *exactly* the
 community the dict-path classes return — same node set, same edge set, same
 trussness, same query distance, same diameter, same iteration count, and
-the same ``NoCommunityFoundError`` / ``QueryError`` outcomes — so the
-engine's ``kernel`` knob is purely a performance decision.  (Extends the
+the same ``NoCommunityFoundError`` / ``QueryError`` outcomes.  The kernels
+are the engine's only execution path; the dict-path classes over a
+:class:`TrussIndex` are the oracle they are held to.  (Extends the
 ``tests/trusses/test_delta_equivalence.py`` pattern from snapshot
 maintenance to query execution.)
 """
@@ -114,19 +115,6 @@ class TestKernelEquivalence:
                 expected = outcome(index, query, method, **kwargs)
                 actual = outcome(snapshot, query, method, **kwargs)
                 assert actual == expected, (method, query, kwargs)
-        # The kernel path never needs the dict index.
-        assert not snapshot.has_index()
-
-    @common_settings
-    @given(data=graphs_and_queries())
-    def test_kernel_dict_knob_is_pure_performance(self, data):
-        """kernel='csr' and kernel='dict' agree through the engine facade."""
-        graph, queries = data
-        engine = CTCEngine(graph)
-        for query in queries[:2]:
-            via_csr = outcome(engine, query, "lctc", eta=10, kernel="csr")
-            via_dict = outcome(engine, query, "lctc", eta=10, kernel="dict")
-            assert via_csr == via_dict
 
 
 class TestBulkDeleteKnobs:
@@ -173,13 +161,6 @@ class TestKernelDetails:
         assert exhausted.extras["timed_out"] is True
         assert exhausted.contains_query()
 
-    def test_unknown_kernel_rejected(self):
-        engine = CTCEngine(complete_graph(4))
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            search(engine, [0], method="lctc", kernel="simd")
-
     def test_kernel_of_dispatch_seam(self):
         graph = complete_graph(5)
         snapshot = CTCEngine(graph).snapshot()
@@ -196,8 +177,6 @@ class TestKernelDetails:
             via_snapshot = search(snapshot, [0, 1], method=method)
             direct = search(graph, [0, 1], method=method)
             assert via_snapshot.nodes == direct.nodes
-        # Baselines read snapshot.graph directly; no dict index is forced.
-        assert not snapshot.has_index()
 
     def test_array_peel_forced_through_search_matches_dict_index(self, monkeypatch):
         """With the array threshold floored, every snapshot search peels on

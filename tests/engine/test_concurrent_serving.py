@@ -11,7 +11,9 @@ Three contracts under test:
   delta log trims past it, and reclamation happens on release.
 * **Serving front-ends** — thread-pool batches, the asyncio facade, and
   shard-per-process workers all answer exactly like a plain engine, with
-  the documented cross-shard refusals in process mode.
+  the documented cross-shard refusals in process mode.  A durable source
+  keeps every served mutation in thread mode and is refused in process
+  mode, whose shard workers have no write-ahead log.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import threading
 import pytest
 
 from repro.datasets.queries import EdgeChurn
-from repro.engine import CTCEngine, ServingEngine
+from repro.engine import CTCEngine, DurabilityConfig, ServingEngine
 from repro.exceptions import (
     ConfigurationError,
     CrossShardMutationError,
@@ -407,6 +409,38 @@ class TestProcessServing:
             # The shm-seeded version-0 snapshots serve straight from cache.
             assert totals["full_rebuilds"] == 0
             assert totals["hits"] >= 2
+
+
+class TestDurableSources:
+    @pytest.fixture
+    def store(self, tmp_path):
+        config = DurabilityConfig(tmp_path / "store", fsync="off", checkpoint_every=None)
+        engine = CTCEngine(erdos_renyi_graph(30, 0.2, seed=9), durability=config)
+        engine.checkpoint()
+        engine.close()
+        return config.path
+
+    def test_thread_mode_path_source_keeps_served_mutations(self, store):
+        with ServingEngine(store, workers=2) as serving:
+            serving.add_edge(0, 500)
+            assert 500 in serving.query([0, 500], method="truss").nodes
+        recovered = CTCEngine.recover(store)
+        try:
+            assert recovered.graph.has_edge(0, 500)
+        finally:
+            recovered.close()
+
+    def test_process_mode_refuses_a_path_source(self, store):
+        with pytest.raises(ConfigurationError):
+            ServingEngine(store, workers=2, mode="process")
+
+    def test_process_mode_refuses_a_durable_engine(self, store):
+        engine = CTCEngine.recover(store)
+        try:
+            with pytest.raises(ConfigurationError):
+                ServingEngine(engine, workers=2, mode="process")
+        finally:
+            engine.close()
 
 
 class _ReprCollidingInt(int):

@@ -2,11 +2,10 @@
 
 A delta apply hands the new snapshot no dict-form graph: the array kernels
 never read one, and :attr:`EngineSnapshot.graph` thaws it from the CSR the
-first time a dict consumer (``kernel="dict"``, the ``mdc``/``qdc``
-baselines) asks.  The thawed graph inserts nodes in CSR label order, not
-store order, so these tests also pin that no answer depends on adjacency
-iteration order.  Only a base that kept a dict-path index warm still gets
-its graph copied and its index patched.
+first time a dict consumer (the ``mdc``/``qdc`` baselines, a
+:class:`TrussIndex` built over it) asks.  The thawed graph inserts nodes in
+CSR label order, not store order, so these tests also pin that no answer
+depends on adjacency iteration order.
 
 Nothing a snapshot owns points back at it, so an evicted snapshot must be
 freed by reference counting alone — checked with the cyclic collector off.
@@ -57,13 +56,20 @@ def _mutate(engine: CTCEngine) -> None:
     engine.add_edge(0, 990)
 
 
-def _assert_dict_consumers_match_fresh_index(snapshot, store) -> None:
-    """``kernel="dict"`` and the baselines on ``snapshot`` match a fresh index."""
+def _assert_consumers_match_fresh_index(snapshot, store) -> None:
+    """Consumers of the snapshot and its thawed graph match a fresh index.
+
+    The dict-path algorithms run over ``TrussIndex(snapshot.graph)``, whose
+    adjacency follows the thawed (CSR label) order; the oracle indexes a
+    copy of the store, in store order.  The kernels answer on the snapshot.
+    """
+    thawed = TrussIndex(snapshot.graph)
     oracle = TrussIndex(store.copy())
     for query in QUERIES:
         for method in CSR_METHODS:
-            got = search(snapshot, query, method=method, kernel="dict")
-            assert _outcome(got) == _outcome(search(oracle, query, method=method))
+            expected = _outcome(search(oracle, query, method=method))
+            assert _outcome(search(thawed, query, method=method)) == expected
+            assert _outcome(search(snapshot, query, method=method)) == expected
         for method in ("mdc", "qdc"):
             got = search(snapshot, query, method=method)
             assert _outcome(got) == _outcome(search(oracle, query, method=method))
@@ -97,7 +103,7 @@ class TestLazyThaw:
         engine.snapshot()
         _mutate(engine)
         patched = engine.snapshot()
-        _assert_dict_consumers_match_fresh_index(patched, engine.graph)
+        _assert_consumers_match_fresh_index(patched, engine.graph)
         # The equal answers came from the thawed graph, not from a copy.
         assert engine.stats.delta_applies == 1
 
@@ -116,7 +122,7 @@ class TestLazyThaw:
         assert engine.stats.full_rebuilds == 1
         assert past._graph is None
         _assert_same_content(past.graph, state)
-        _assert_dict_consumers_match_fresh_index(past, state)
+        _assert_consumers_match_fresh_index(past, state)
 
     def test_window_expiry_snapshot_thaws_correctly(self):
         edges = sorted(erdos_renyi_graph(40, 0.2, seed=11).edges())
@@ -132,7 +138,7 @@ class TestLazyThaw:
             engine.query([0, 1], method=method)
         assert expired._graph is None
         _assert_same_content(expired.graph, engine.graph)
-        _assert_dict_consumers_match_fresh_index(expired, engine.graph)
+        _assert_consumers_match_fresh_index(expired, engine.graph)
 
 
 class TestCancellingDelta:
@@ -152,23 +158,6 @@ class TestCancellingDelta:
             assert recovered.snapshot()._graph is None
         finally:
             recovered.close()
-
-
-class TestDictPathStaysPatched:
-    def test_patched_index_survives_the_lazy_thaw(self, engine):
-        engine.query([0, 1], method="lctc", eta=20, kernel="dict")
-        assert engine.snapshot().has_index()
-        _mutate(engine)
-        patched = engine.snapshot()
-        assert engine.stats.delta_applies == 1
-        assert patched.has_index()
-        assert patched._graph is not None  # the patched index needs the graph
-        oracle = TrussIndex(engine.graph.copy())
-        assert patched.index.all_edge_trussness() == oracle.all_edge_trussness()
-        for query in QUERIES:
-            for method in CSR_METHODS:
-                got = engine.query(query, method=method, kernel="dict")
-                assert _outcome(got) == _outcome(search(oracle, query, method=method))
 
 
 class TestEvictionFreesByRefcount:

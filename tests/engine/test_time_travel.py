@@ -5,11 +5,11 @@ any graph and any mutation stream, ``snapshot_at(v)`` /
 ``query(..., at_version=v)`` at every retained version ``v`` must produce
 exactly what a fresh engine built from the version-``v`` graph state
 produces — the same CSR arrays, the same trussness, and the same query
-results on both the csr and dict kernels — regardless of which replay
-direction (forward from an older cached snapshot, backward from a newer
-one, or a full rebuild of the unwound store) served the read.  Evicted
-versions must fail loudly with :class:`VersionEvictedError`, never silently
-serve a different version.
+results, which also equal the dict-path oracle's on the version-``v``
+graph — regardless of which replay direction (forward from an older cached
+snapshot, backward from a newer one, or a full rebuild of the unwound
+store) served the read.  Evicted versions must fail loudly with
+:class:`VersionEvictedError`, never silently serve a different version.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ctc.api import search
 from repro.engine import CTCEngine
 from repro.exceptions import VersionEvictedError
 from repro.graph.generators import complete_graph, erdos_renyi_graph, relaxed_caveman_graph
@@ -103,19 +104,19 @@ def _assert_snapshots_identical(snapshot, oracle, version: int) -> None:
 
 
 def _assert_queries_identical(engine: CTCEngine, state, version: int) -> None:
-    """Pinned queries equal fresh-engine queries, on both kernels."""
+    """Pinned queries equal a fresh engine's and the dict oracle's on ``state``."""
     edges = sorted(state.edges())
     if not edges:
         return
     query = list(edges[0])
-    fresh = CTCEngine(state, delta_threshold=0)
-    for kernel in ("csr", "dict"):
-        pinned = engine.query(query, method="lctc", eta=30, kernel=kernel, at_version=version)
-        direct = fresh.query(query, method="lctc", eta=30, kernel=kernel)
-        assert pinned.nodes == direct.nodes, (kernel, version)
-        assert pinned.trussness == direct.trussness, (kernel, version)
-        assert pinned.query_distance == direct.query_distance, (kernel, version)
-        assert pinned.iterations == direct.iterations, (kernel, version)
+    pinned = engine.query(query, method="lctc", eta=30, at_version=version)
+    fresh = CTCEngine(state, delta_threshold=0).query(query, method="lctc", eta=30)
+    oracle = search(state, query, method="lctc", eta=30)
+    for name, direct in (("fresh", fresh), ("oracle", oracle)):
+        assert pinned.nodes == direct.nodes, (name, version)
+        assert pinned.trussness == direct.trussness, (name, version)
+        assert pinned.query_distance == direct.query_distance, (name, version)
+        assert pinned.iterations == direct.iterations, (name, version)
 
 
 class TestTimeTravelEquivalence:
@@ -144,7 +145,7 @@ class TestTimeTravelEquivalence:
 
     @common_settings
     @given(graph=base_graphs(), stream=mutation_streams)
-    def test_pinned_queries_match_fresh_engines_on_both_kernels(self, graph, stream):
+    def test_pinned_queries_match_fresh_engines_on_that_versions_graph(self, graph, stream):
         engine = CTCEngine(graph)
         states = _record_states(engine, stream)
         lo, hi = engine.retained_versions()

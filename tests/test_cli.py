@@ -71,10 +71,6 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             main(["search", figure1_file, "--query", "q1", "--mutate-every", "2"])
 
-    def test_csr_kernel_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--kernel", "csr"])
-
     def test_decomp_requires_engine(self, figure1_file):
         with pytest.raises(SystemExit):
             main(["search", figure1_file, "--query", "q1", "--decomp", "vector"])
@@ -100,24 +96,17 @@ class TestSearchCommand:
             outputs["bucket"].split("members:")[1].split("decomp:")[0]
         )
 
-    def test_engine_defaults_to_csr_kernel(self, figure1_file, capsys):
-        exit_code = main(
-            ["search", figure1_file, "--query", "q1", "q2", "--method", "lctc",
-             "--eta", "50", "--engine", "--repeat", "3"]
-        )
-        assert exit_code == 0
-        assert "kernel:        csr" in capsys.readouterr().out
-
     def test_dict_kernel_same_community(self, figure1_file, capsys):
-        main(["search", figure1_file, "--query", "q1", "q2", "q3", "--method", "lctc",
-              "--eta", "50", "--engine"])
-        csr_out = capsys.readouterr().out
-        main(["search", figure1_file, "--query", "q1", "q2", "q3", "--method", "lctc",
-              "--eta", "50", "--engine", "--kernel", "dict"])
+        """--engine (array kernels) prints the members the plain dict path does."""
+        base_args = ["search", figure1_file, "--query", "q1", "q2", "q3",
+                     "--method", "lctc", "--eta", "50"]
+        main(base_args)
         dict_out = capsys.readouterr().out
-        assert "kernel:        dict" in dict_out
-        assert csr_out.split("members:")[1].split("kernel:")[0] == (
-            dict_out.split("members:")[1].split("kernel:")[0]
+        main(base_args + ["--engine"])
+        engine_out = capsys.readouterr().out
+        assert "decomp:" not in dict_out
+        assert dict_out.split("members:")[1] == (
+            engine_out.split("members:")[1].split("decomp:")[0]
         )
 
     def test_at_version_requires_engine(self, figure1_file):
@@ -274,7 +263,7 @@ class TestSearchCommand:
         plain_out = capsys.readouterr().out
         main(base_args + ["--workers", "2", "--repeat", "4"])
         serving_out = capsys.readouterr().out
-        assert plain_out.split("members:")[1].split("kernel:")[0] == (
+        assert plain_out.split("members:")[1].split("decomp:")[0] == (
             serving_out.split("members:")[1].split("throughput:")[0]
         )
 
