@@ -11,19 +11,23 @@ edge mutations arrive interleaved with ``BATCH`` CTC queries.
   cache, and pays a delta apply over the whole ~49k-edge union.
 * **thread serving** — :class:`ServingEngine` in thread mode coalesces
   each window's queries into one ``query_batch`` against one epoch-pinned
-  lease: the window's mutations are absorbed by a *single* composed delta
-  apply, amortized over the whole batch.
+  lease, answered on the calling thread: the window's mutations are
+  absorbed by a *single* composed delta apply, amortized over the whole
+  batch.  This is batching alone; thread mode has no worker pool, so its
+  ``workers`` argument does not change the measurement and the arm is not
+  swept.
 * **process serving** — shard-per-process workers over shared-memory
   snapshot buffers: each mutation dirties only its own shard (~1/N of the
   union), so a window's misses patch small per-shard snapshots instead of
   the union — the dominant win on this single-core container, on top of
   whatever hardware parallelism the host offers.
 
-``test_thread_4worker_speedup_at_least_1_5x`` and
+``test_thread_batching_speedup_at_least_1_5x`` and
 ``test_process_4worker_speedup_at_least_2_5x`` gate the two modes on the
 median of ``GATE_ROUNDS`` back-to-back measurements;
-``test_serving_json_artifact`` sweeps ``WORKER_COUNTS`` and records
-queries/sec, speedup, and scaling efficiency (speedup / workers) per row.
+``test_serving_json_artifact`` records one thread row and sweeps the
+process arm over ``WORKER_COUNTS``, with queries/sec and speedup per row
+and scaling efficiency (speedup / workers) per process row.
 CI runs the cheap parity/artifact tests and deselects the wall-clock
 gates (``-k "not speedup"``); override the sweep with the
 ``BENCH_SERVING_WORKERS`` / ``BENCH_SERVING_BATCHES`` env vars for smoke
@@ -61,12 +65,12 @@ MUTATIONS = 8
 #: Batch windows per measured round (env-overridable for CI smoke).
 BATCHES = int(os.environ.get("BENCH_SERVING_BATCHES", "6"))
 
-#: Worker counts swept by the artifact (env-overridable for CI smoke).
+#: Process worker counts swept by the artifact (env-overridable for CI smoke).
 WORKER_COUNTS = tuple(
     int(w) for w in os.environ.get("BENCH_SERVING_WORKERS", "1,4,8").split(",")
 )
 
-#: Acceptance gates, median-of-rounds at 4 workers.
+#: Acceptance gates, median-of-rounds: thread batching, process at 4 workers.
 TARGET_THREAD_SPEEDUP = 1.5
 TARGET_PROCESS_SPEEDUP = 2.5
 GATE_ROUNDS = 3
@@ -206,28 +210,34 @@ def test_process_serving_shards_by_replica(union_graph, queries):
 
 
 def test_serving_json_artifact(union_graph, queries):
-    """Sweep the worker counts and write the JSON trajectory."""
+    """Measure the thread arm, sweep the process worker counts, write the JSON."""
     baseline_qps = _measure_baseline(union_graph, queries)
+    thread_qps = _measure(union_graph, queries, "thread", 1)
     rows = [
         {
             "mode": "baseline",
             "workers": 1,
             "queries_per_sec": round(baseline_qps, 2),
-        }
+        },
+        {
+            "mode": "thread",
+            "workers": 1,
+            "queries_per_sec": round(thread_qps, 2),
+            "speedup": round(thread_qps / baseline_qps, 2),
+        },
     ]
-    for mode in ("thread", "process"):
-        for workers in WORKER_COUNTS:
-            qps = _measure(union_graph, queries, mode, workers)
-            speedup = qps / baseline_qps
-            rows.append(
-                {
-                    "mode": mode,
-                    "workers": workers,
-                    "queries_per_sec": round(qps, 2),
-                    "speedup": round(speedup, 2),
-                    "scaling_efficiency": round(speedup / workers, 2),
-                }
-            )
+    for workers in WORKER_COUNTS:
+        qps = _measure(union_graph, queries, "process", workers)
+        speedup = qps / baseline_qps
+        rows.append(
+            {
+                "mode": "process",
+                "workers": workers,
+                "queries_per_sec": round(qps, 2),
+                "speedup": round(speedup, 2),
+                "scaling_efficiency": round(speedup / workers, 2),
+            }
+        )
     path = write_artifact(
         "bench_concurrent_serving",
         {
@@ -236,7 +246,7 @@ def test_serving_json_artifact(union_graph, queries):
             "mutations_per_batch": MUTATIONS,
             "batches": BATCHES,
             "gate": {
-                "thread_4worker_speedup": TARGET_THREAD_SPEEDUP,
+                "thread_batching_speedup": TARGET_THREAD_SPEEDUP,
                 "process_4worker_speedup": TARGET_PROCESS_SPEEDUP,
             },
         },
@@ -260,32 +270,38 @@ def test_serving_json_artifact(union_graph, queries):
 # ----------------------------------------------------------------------
 # wall-clock gates (median-of-rounds; deselected in CI via -k "not speedup")
 # ----------------------------------------------------------------------
-def _gate(union_graph, queries, mode, target):
+def _gate(union_graph, queries, mode, workers, label, target):
     ratios = []
     report = [""]
     for round_index in range(GATE_ROUNDS):
         baseline_qps = _measure_baseline(union_graph, queries)
-        serving_qps = _measure(union_graph, queries, mode, 4)
+        serving_qps = _measure(union_graph, queries, mode, workers)
         ratios.append(serving_qps / baseline_qps)
         report.append(
             f"round {round_index}: baseline {baseline_qps:8.1f} q/s, "
-            f"{mode} x4 {serving_qps:8.1f} q/s ({ratios[-1]:.2f}x)"
+            f"{label} {serving_qps:8.1f} q/s ({ratios[-1]:.2f}x)"
         )
     median = statistics.median(ratios)
     report.append(f"median: {median:.2f}x (target {target}x)")
     print("\n".join(report))
     assert median >= target, (
-        f"{mode} serving at 4 workers reached only {median:.2f}x the "
-        f"single-thread baseline (target {target}x); rounds: "
+        f"{label} reached only {median:.2f}x the in-order single-thread "
+        f"baseline (target {target}x); rounds: "
         + ", ".join(f"{r:.2f}x" for r in ratios)
     )
 
 
-def test_thread_4worker_speedup_at_least_1_5x(union_graph, queries):
+def test_thread_batching_speedup_at_least_1_5x(union_graph, queries):
     """Gate: batched thread serving >= 1.5x the in-order single-thread engine."""
-    _gate(union_graph, queries, "thread", TARGET_THREAD_SPEEDUP)
+    _gate(
+        union_graph, queries, "thread", 1,
+        "thread serving (batched, calling thread)", TARGET_THREAD_SPEEDUP,
+    )
 
 
 def test_process_4worker_speedup_at_least_2_5x(union_graph, queries):
     """Gate: shard-per-process serving >= 2.5x the single-thread engine."""
-    _gate(union_graph, queries, "process", TARGET_PROCESS_SPEEDUP)
+    _gate(
+        union_graph, queries, "process", 4,
+        "process serving at 4 workers", TARGET_PROCESS_SPEEDUP,
+    )

@@ -40,8 +40,10 @@ decomposition strategy (``auto``/``vector``/``bucket`` — the
 level-synchronous vector peel or the sequential bucket queue; trussness is
 bit-identical either way).  ``--workers N`` serves the ``--repeat`` loop
 through the concurrent :class:`~repro.engine.ServingEngine` front-end in
-batches (one pinned snapshot per batch); ``--serving-mode`` picks the
-thread-pool (default) or the shard-per-process back end.
+batches of ``max(2N, 8)`` queries (``--mutate-every`` queries when set), one
+pinned snapshot per batch; ``--serving-mode`` picks the thread back end
+(default: each batch runs on the calling thread) or the shard-per-process
+one (up to N worker processes).
 ``--query-timeout S`` puts a per-query deadline on every served query:
 an overdue query fails with a typed timeout instead of stalling its
 batch (the serving layer's fault-tolerance machinery — crashed shard
@@ -200,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "serve the --repeat loop through the concurrent ServingEngine "
-            "front-end with N workers, batching queries against one pinned "
-            "snapshot per batch (requires --engine; 0 disables)"
+            "front-end in batches of max(2N, 8) queries (--mutate-every "
+            "queries when set) against one pinned snapshot per batch; process "
+            "mode runs up to N shard workers (requires --engine; 0 disables)"
         ),
     )
     search_parser.add_argument(
@@ -209,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "process"),
         default=None,
         help=(
-            "ServingEngine back end with --workers: 'thread' (default) shares "
-            "one engine behind a thread pool, 'process' shards the store by "
-            "connected component across worker processes mapping shared-memory "
-            "snapshot buffers"
+            "ServingEngine back end with --workers: 'thread' (default) runs "
+            "each batch on the calling thread over one shared engine, "
+            "'process' shards the store by connected component across worker "
+            "processes mapping shared-memory snapshot buffers"
         ),
     )
     search_parser.add_argument(

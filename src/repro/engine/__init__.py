@@ -5,8 +5,8 @@ Mutations propagate to the cached read replicas through structured
 policy; see :mod:`repro.engine.core` for the design discussion and
 ``docs/ARCHITECTURE.md`` for the layer diagram and the caching/rebuild
 contract.  :mod:`repro.engine.serving` layers a concurrent front-end on
-top: epoch-pinned snapshot leases, batched thread-pool serving, and
-shard-parallel worker processes over shared-memory snapshot buffers.
+top: epoch-pinned snapshot leases, batched serving on the calling thread,
+and shard-parallel worker processes over shared-memory snapshot buffers.
 """
 
 from repro.engine.core import (

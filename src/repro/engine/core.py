@@ -109,7 +109,7 @@ import time
 import weakref
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -373,20 +373,7 @@ class EngineStats:
 
     def as_dict(self) -> dict[str, float]:
         """Return the counters as a plain dict (for CLI/benchmark reporting)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "delta_applies": self.delta_applies,
-            "full_rebuilds": self.full_rebuilds,
-            "time_travel_reads": self.time_travel_reads,
-            "incidence_patches": self.incidence_patches,
-            "incidence_enumerations": self.incidence_enumerations,
-            "leases": self.leases,
-            "deferred_reclamations": self.deferred_reclamations,
-            "build_seconds": self.build_seconds,
-        }
+        return asdict(self)
 
 
 class SnapshotLease:

@@ -13,20 +13,19 @@ Fault vocabulary
 ----------------
 Faults are addressed by ``(shard, batch)`` where ``batch`` is the shard's
 0-indexed *dispatch sequence number*: the Nth ``query_batch`` message the
-front-end dispatches to that shard (thread mode counts its batches as
-shard 0).
+front-end dispatches to that shard.  Plans apply to process mode only:
+thread mode has no worker to fault, and a thread-mode
+:class:`~repro.engine.serving.ServingEngine` refuses a plan with
+:class:`~repro.exceptions.ConfigurationError`.
 
 * :meth:`kill_worker` — the parent SIGKILLs the shard worker immediately
   before dispatching that batch, simulating a crash: the batch's queries
   hit the dead pipe and take the crash → respawn → requeue path.
 * :meth:`delay_reply` — the worker computes the batch, then sleeps before
-  replying (thread mode: each query sleeps before executing), simulating
-  a stalled worker; with a ``timeout=`` this deterministically exercises
-  the deadline path.
+  replying, simulating a stalled worker; with a ``timeout=`` this
+  deterministically exercises the deadline path.
 * :meth:`poison_query` — the worker exits mid-batch *without* replying
-  (``os._exit``), simulating a query that takes its executor down; thread
-  mode (where a pool thread cannot vanish) raises a ``RuntimeError``
-  instead, exercising the per-query error slot.
+  (``os._exit``), simulating a query that takes its executor down.
 * :meth:`fail_attach` — the next ``times`` (re)spawns of that shard's
   worker abort before attaching the shared-memory bundle, simulating an
   shm attach failure; with ``times >= max_respawns`` this drives the

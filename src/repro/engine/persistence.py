@@ -64,7 +64,7 @@ import os
 import pickle
 import shutil
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -537,15 +537,7 @@ class RecoveryReport:
 
     def as_dict(self) -> dict:
         """Plain-dict form for CLI/benchmark reporting."""
-        return {
-            "checkpoint_version": self.checkpoint_version,
-            "checkpoint_path": self.checkpoint_path,
-            "wal_records": self.wal_records,
-            "replayed_deltas": self.replayed_deltas,
-            "truncated_bytes": self.truncated_bytes,
-            "recovered_version": self.recovered_version,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 class DurabilityManager:

@@ -4,14 +4,15 @@ The engine core is an MVCC design — immutable version-keyed snapshots over
 a delta log — but by itself it serves one query at a time.  This module
 adds the serving layer the ROADMAP's "millions of users" track calls for:
 
-* **Thread mode** (``mode="thread"``): one shared :class:`CTCEngine`
-  behind a thread pool.  :meth:`ServingEngine.query_batch` takes a single
-  epoch-pinned :class:`~repro.engine.core.SnapshotLease`, warms the
-  snapshot's lazy kernel once, and fans the batch out across the pool —
-  so ``B`` concurrently-arriving queries pay **one** snapshot resolution
-  (delta apply or rebuild) and **one** kernel setup instead of ``B``.
-  The writer keeps mutating underneath; the lease guarantees every query
-  in the batch reads one consistent version.
+* **Thread mode** (``mode="thread"``): one shared :class:`CTCEngine`.
+  :meth:`ServingEngine.query_batch` takes a single epoch-pinned
+  :class:`~repro.engine.core.SnapshotLease` and answers the batch in a
+  plain loop on the calling thread — so ``B`` concurrently-arriving
+  queries pay **one** snapshot resolution (delta apply or rebuild) and
+  **one** kernel setup instead of ``B``.  The kernels hold the GIL, so a
+  thread pool would only interleave them.  The writer keeps mutating
+  underneath; the lease guarantees every query in the batch reads one
+  consistent version.
 * **Process mode** (``mode="process"``): the store is sharded by connected
   component (:func:`~repro.graph.components.balanced_shards`; nodes first
   seen on a new edge fall back to a stable hash of the canonical edge
@@ -55,19 +56,23 @@ than hung on.  Recovery is a supervision state machine per shard:
    shards keep serving.  Graceful degradation, not a poisoned engine.
 
 **Deadlines**: ``query_batch(..., timeout=)`` takes a scalar or a
-per-query sequence of second budgets.  Thread mode bounds each future's
-``result()`` wait (and forwards the budget to the cooperative
-``time_budget_seconds`` machinery of the global methods); process mode
-bounds the reply poll.  An overdue query's slot becomes a
-:class:`~repro.exceptions.QueryTimeoutError` — the batch never stalls on
-one slow query, and an abandoned reply is discarded when it eventually
+per-query sequence of second budgets, and an overdue query's slot becomes
+a :class:`~repro.exceptions.QueryTimeoutError`.  Thread mode skips a
+query whose deadline passed before it starts, times out one that finishes
+after it, and hands ``basic``/``bulk-delete`` the *remaining* budget as
+their cooperative ``time_budget_seconds``, so they stop computing at the
+deadline; ``lctc`` and ``truss`` are not interrupted (their work is
+bounded by the local expansion), so at most one of them runs past a
+deadline.  Process mode bounds the reply poll: the batch never stalls on
+one slow shard, and an abandoned reply is discarded when it eventually
 arrives.  :meth:`aquery` carries the timeout into its coalesced groups.
 
-**Fault injection**: a seeded :class:`~repro.engine.faults.FaultPlan`
-passed as ``fault_plan=`` scripts kills, delayed replies, poisoned
-queries, and shm attach failures at exact ``(shard, batch)`` dispatch
-points, so every recovery path above is exercised deterministically by
-the test suite and ``benchmarks/bench_fault_recovery.py``.
+**Fault injection** (process mode): a seeded
+:class:`~repro.engine.faults.FaultPlan` passed as ``fault_plan=`` scripts
+kills, delayed replies, poisoned queries, and shm attach failures at
+exact ``(shard, batch)`` dispatch points, so every recovery path above is
+exercised deterministically by the test suite and
+``benchmarks/bench_fault_recovery.py``.
 
 Shard semantics (process mode)
 ------------------------------
@@ -88,7 +93,9 @@ them alive for the worker's lifetime, and unlinks them in :meth:`close`
 parent killed by ``SIGTERM``/``SIGINT`` still unlinks: the module
 installs signal handlers (preserving and re-raising into any prior
 handler) that emergency-unlink every live engine's segments.  Workers
-merely attach and drop their mapping on shutdown.
+merely attach and drop their mapping on shutdown; a forked worker closes
+the parent-side pipe ends it inherited, so it exits on EOF when the parent
+dies by any signal.
 """
 
 from __future__ import annotations
@@ -105,9 +112,7 @@ import weakref
 import zlib
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import multiprocessing
@@ -265,22 +270,7 @@ class ServingStats:
 
     def as_dict(self) -> dict[str, float]:
         """Return the counters as a plain dict (for CLI/benchmark reporting)."""
-        return {
-            "mode": self.mode,
-            "workers": self.workers,
-            "batches": self.batches,
-            "queries": self.queries,
-            "coalesced_queries": self.coalesced_queries,
-            "leases": self.leases,
-            "snapshot_reuses": self.snapshot_reuses,
-            "cross_shard_rejects": self.cross_shard_rejects,
-            "worker_crashes": self.worker_crashes,
-            "respawns": self.respawns,
-            "requeued_queries": self.requeued_queries,
-            "timeouts": self.timeouts,
-            "bundle_rebuilds": self.bundle_rebuilds,
-            "quarantined_shards": self.quarantined_shards,
-        }
+        return asdict(self)
 
 
 def _picklable_exception(exc: Exception) -> Exception:
@@ -355,8 +345,14 @@ def _shard_worker(
     untrack: bool,
     replay_ops: Sequence[tuple] = (),
     fail_attach: bool = False,
+    inherited: Sequence = (),
 ) -> None:
     """Serve one shard from shared-memory snapshot buffers (worker main).
+
+    First closes ``inherited``, the parent-side pipe ends a forked worker
+    copies from the parent (its own and every live shard's): while any copy
+    of the parent's end stays open, ``conn.recv()`` never sees EOF, and a
+    worker would outlive a parent killed by a signal.
 
     Attaches the parent's bundle zero-copy, seeds a shard-local
     :class:`CTCEngine` from the already-decomposed arrays, replays
@@ -382,6 +378,8 @@ def _shard_worker(
 
     from repro.ctc.api import search
 
+    for parent_end in inherited:
+        parent_end.close()
     if fail_attach:
         conn.close()
         os._exit(3)
@@ -483,14 +481,19 @@ class ServingEngine:
         engine with ``durability`` set raises
         :class:`~repro.exceptions.ConfigurationError` there.
     workers:
-        Thread-pool width (thread mode) / maximum shard worker processes
-        (process mode; capped by the number of connected components).
+        Maximum shard worker processes (process mode; capped by the number
+        of connected components).  Thread mode validates and reports it
+        (:attr:`ServingStats.workers`) but runs every batch on the calling
+        thread.
     mode:
         ``"thread"`` (default) or ``"process"`` — see the module docstring.
     fault_plan:
         Optional :class:`~repro.engine.faults.FaultPlan` consulted at every
-        dispatch — deterministic fault injection for tests and the
-        fault-recovery benchmark.  ``None`` (the default) injects nothing.
+        shard dispatch — deterministic fault injection for tests and the
+        fault-recovery benchmark.  Process mode only: thread mode has no
+        worker to fault and raises
+        :class:`~repro.exceptions.ConfigurationError` for a plan.  ``None``
+        (the default) injects nothing.
     max_respawns:
         Crash-recovery budget per shard per incident: how many failed
         respawn attempts (or repeated crashes while serving one batch)
@@ -530,6 +533,11 @@ class ServingEngine:
             raise ValueError(f"max_respawns must be >= 1, got {max_respawns}")
         if respawn_backoff < 0:
             raise ValueError(f"respawn_backoff must be >= 0, got {respawn_backoff}")
+        if mode == "thread" and fault_plan is not None:
+            raise ConfigurationError(
+                "a fault_plan requires mode='process': its faults address "
+                "shard worker dispatches, and thread mode has no workers"
+            )
         if mode == "process" and (
             isinstance(source, (str, os.PathLike))
             or (isinstance(source, CTCEngine) and source.durability is not None)
@@ -548,7 +556,7 @@ class ServingEngine:
         self._lock = threading.RLock()
         self._rid = itertools.count()
         #: Per-shard dispatch sequence numbers — the ``batch`` coordinate a
-        #: FaultPlan addresses (thread mode counts its batches as shard 0).
+        #: FaultPlan addresses.
         self._dispatch_seq: dict[int, int] = defaultdict(int)
         self.stats = ServingStats(mode=mode, workers=workers)
 
@@ -569,9 +577,6 @@ class ServingEngine:
                     self._engine = source
                 else:
                     self._engine = CTCEngine(source, **engine_kwargs)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-serving"
-                )
                 self._last_version: int | None = None
             else:
                 self._start_process_workers(source)
@@ -670,17 +675,21 @@ class ServingEngine:
             and self._fault_plan.take_attach_failure(shard)
         )
         parent_conn, child_conn = self._context.Pipe()
+        forked = self._context.get_start_method() == "fork"
         # Spawn-started workers run their own resource tracker and must
-        # untrack; fork-started workers share the parent's.
+        # untrack; fork-started workers share the parent's, and inherit the
+        # parent-side pipe ends that _shard_worker closes.
+        inherited = (parent_conn, *(c for c in self._conns if c is not None)) if forked else ()
         process = self._context.Process(
             target=_shard_worker,
             args=(
                 child_conn,
                 self._bundles[shard].meta,
                 self._engine_kwargs,
-                self._context.get_start_method() != "fork",
+                not forked,
                 tuple(self._oplogs[shard]),
                 fail_attach,
+                inherited,
             ),
             daemon=True,
         )
@@ -1220,10 +1229,15 @@ class ServingEngine:
         applied to every query, or a sequence of per-query values (``None``
         entries exempt).  An overdue query's slot resolves to
         :class:`~repro.exceptions.QueryTimeoutError` (raised, unless
-        ``return_exceptions=True``) instead of stalling the batch; for the
-        global methods the budget also rides into the kernels' cooperative
-        ``time_budget_seconds`` machinery.  A query routed to a quarantined
-        shard resolves to :class:`~repro.exceptions.ShardUnavailableError`.
+        ``return_exceptions=True``).  Thread mode answers the batch in order
+        on the calling thread: a query whose deadline passed before it
+        starts is not run, one that finishes after it times out, and
+        ``basic``/``bulk-delete`` get the remaining budget as their
+        cooperative ``time_budget_seconds`` (``lctc``/``truss`` run to
+        completion).  Process mode bounds the shard's reply wait and
+        forwards the tightest member budget to those two methods.  A query
+        routed to a quarantined shard resolves to
+        :class:`~repro.exceptions.ShardUnavailableError`.
         """
         batch = [list(query) for query in queries]
         deadlines, budgets = _resolve_deadlines(timeout, len(batch))
@@ -1244,8 +1258,6 @@ class ServingEngine:
     def _query_batch_thread(
         self, batch, method, at_version, kwargs, return_exceptions, deadlines, budgets
     ) -> list:
-        from repro.ctc.api import search
-
         # The lease resolution (delta apply / rebuild wait) honors the
         # batch's latest deadline; if every member has one, so does the wait.
         lease_timeout = None
@@ -1271,65 +1283,29 @@ class ServingEngine:
                 if lease.version == self._last_version:
                     self.stats.snapshot_reuses += 1
                 self._last_version = lease.version
-            snapshot = lease.snapshot
-            # Warm the lazy per-version kernel once, before the fan-out, so
-            # the workers never race to build it B times.
-            snapshot.kernel
-            if not batch:
-                return []
-
-            # Thread mode is "shard 0" in fault-plan coordinates.  A
-            # scripted kill is meaningless here (there is no process to
-            # kill) and is consumed as a no-op; poison fails every query in
-            # the batch; delay stalls each query's executor.
-            delay = 0.0
-            poison = False
-            if self._fault_plan is not None:
-                with self._lock:
-                    seq = self._dispatch_seq[0]
-                    self._dispatch_seq[0] = seq + 1
-                directives = self._fault_plan.directives_for(0, seq)
-                delay = directives.get("delay", 0.0)
-                poison = bool(directives.get("poison"))
-
-            def run(index, query):
-                if delay:
-                    time.sleep(delay)
-                if poison:
-                    return RuntimeError(
-                        "fault injection: query poisoned by the fault plan"
-                    )
+            # In order on the calling thread (see the module docstring): the
+            # first query builds the snapshot's lazy kernel, the rest reuse it.
+            results = [None] * len(batch)
+            overdue: list[int] = []
+            for index, query in enumerate(batch):
+                deadline = deadlines[index]
                 call_kwargs = kwargs
-                if (
-                    budgets[index] is not None
-                    and method in _BUDGETED_METHODS
-                    and "time_budget_seconds" not in kwargs
-                ):
-                    call_kwargs = dict(kwargs, time_budget_seconds=budgets[index])
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        overdue.append(index)  # expired before it started
+                        continue
+                    if method in _BUDGETED_METHODS and "time_budget_seconds" not in kwargs:
+                        call_kwargs = dict(kwargs, time_budget_seconds=remaining)
                 try:
-                    return search(snapshot, query, method=method, **call_kwargs)
+                    results[index] = lease.query(query, method, **call_kwargs)
                 except Exception as exc:
-                    return exc
-
-            futures = [
-                self._pool.submit(run, index, query)
-                for index, query in enumerate(batch)
-            ]
-            results = []
-            for index, future in enumerate(futures):
-                remaining = (
-                    None
-                    if deadlines[index] is None
-                    else max(0.0, deadlines[index] - time.monotonic())
-                )
-                try:
-                    results.append(future.result(timeout=remaining))
-                except FutureTimeoutError:
-                    future.cancel()
-                    slot = [None]
-                    with self._lock:
-                        self._fill_timeouts([0], [budgets[index]], slot)
-                    results.append(slot[0])
+                    results[index] = exc
+                if deadline is not None and time.monotonic() >= deadline:
+                    overdue.append(index)  # finished past its deadline
+            if overdue:
+                with self._lock:
+                    self._fill_timeouts(overdue, budgets, results)
         if not return_exceptions:
             for result in results:
                 if isinstance(result, Exception):
@@ -1499,9 +1475,7 @@ class ServingEngine:
             return
         self._closed = True
         atexit.unregister(self.close)
-        if self._mode == "thread":
-            self._pool.shutdown(wait=True)
-        else:
+        if self._mode == "process":
             self._shutdown_process_workers()
             _unregister_signal_cleanup(self)
         if self._recovered is not None:

@@ -115,12 +115,13 @@ class QueryTimeoutError(ReproError):
 
     Raised per overdue query by :meth:`~repro.engine.serving.ServingEngine.
     query_batch` (and :meth:`aquery`) when ``timeout=`` is given: in thread
-    mode when the query's future has not completed by the deadline, in
-    process mode when the owning shard worker has not replied by it.  Also
-    raised by :meth:`~repro.engine.CTCEngine.snapshot_at` when a
-    deadline-bounded wait on another thread's in-flight snapshot build
-    expires.  The computation may still complete in the background — the
-    error only means the caller stopped waiting.
+    mode when the deadline passed before the query started (it is then not
+    run) or before it finished, in process mode when the owning shard
+    worker has not replied by it.  Also raised by
+    :meth:`~repro.engine.CTCEngine.snapshot_at` when a deadline-bounded
+    wait on another thread's in-flight snapshot build expires.  In process
+    mode the worker may still complete the computation — the error only
+    means the caller stopped waiting.
 
     Attributes
     ----------

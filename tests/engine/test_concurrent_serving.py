@@ -9,11 +9,12 @@ Three contracts under test:
 * **Epoch-pinned reclamation** — the snapshot LRU defers eviction of
   leased versions: a lease keeps its version readable even after the
   delta log trims past it, and reclamation happens on release.
-* **Serving front-ends** — thread-pool batches, the asyncio facade, and
-  shard-per-process workers all answer exactly like a plain engine, with
-  the documented cross-shard refusals in process mode.  A durable source
-  keeps every served mutation in thread mode and is refused in process
-  mode, whose shard workers have no write-ahead log.
+* **Serving front-ends** — thread-mode batches (one lease, answered on
+  the calling thread), the asyncio facade, and shard-per-process workers
+  all answer exactly like a plain engine, with the documented cross-shard
+  refusals in process mode.  A durable source keeps every served mutation
+  in thread mode and is refused in process mode, whose shard workers have
+  no write-ahead log.
 """
 
 from __future__ import annotations

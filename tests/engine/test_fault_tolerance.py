@@ -17,7 +17,8 @@ The contracts under test (ISSUE 9's acceptance criteria):
 * **FaultPlan is deterministic** — same seed, same scripted schedule;
   every applied fault is journaled.
 * **No shm leak on SIGTERM** — a signal-terminated parent still unlinks
-  its shared-memory segments (the signal-handler satellite).
+  its shared-memory segments (the signal-handler satellite), and no shard
+  worker outlives a parent killed by SIGTERM or SIGKILL.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import pytest
 
 from repro.datasets.queries import EdgeChurn
 from repro.engine import CTCEngine, FaultPlan, ServingEngine
-from repro.exceptions import QueryTimeoutError, ShardUnavailableError
+from repro.exceptions import ConfigurationError, QueryTimeoutError, ShardUnavailableError
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.simple_graph import UndirectedGraph
 
@@ -192,28 +193,76 @@ class TestDeadlines:
 
     def test_thread_mode_timeout_resolves_slot(self):
         graph = erdos_renyi_graph(30, 0.25, seed=5)
-        plan = FaultPlan().delay_reply(0, 0, 1.5)
-        with ServingEngine(graph, workers=2, fault_plan=plan) as serving:
+        with ServingEngine(graph, workers=2) as serving:
+            # The deadline passes before the query starts: it is not run.
             (slot,) = serving.query_batch(
-                [QUERY], timeout=0.2, return_exceptions=True, **SEARCH
+                [QUERY], timeout=1e-9, return_exceptions=True, **SEARCH
             )
             assert isinstance(slot, QueryTimeoutError)
+            assert slot.timeout == pytest.approx(1e-9)
             assert serving.stats.timeouts == 1
-            # Batch 1 carries no fault: the pool thread is free again.
             assert serving.query(QUERY, timeout=30, **SEARCH).trussness >= 2
+            assert serving.stats.timeouts == 1
 
     def test_thread_mode_per_query_timeout_sequence(self):
         graph = erdos_renyi_graph(30, 0.25, seed=5)
-        plan = FaultPlan().delay_reply(0, 0, 1.0)
-        with ServingEngine(graph, workers=2, fault_plan=plan) as serving:
-            # The bounded query sits at index 0 so its deadline is checked
-            # while its executor is still inside the scripted stall.
+        with ServingEngine(graph, workers=2) as serving:
             bounded, unbounded = serving.query_batch(
-                [QUERY, QUERY], timeout=[0.1, None], return_exceptions=True, **SEARCH
+                [QUERY, QUERY], timeout=[1e-9, None], return_exceptions=True, **SEARCH
             )
             assert isinstance(bounded, QueryTimeoutError)
-            assert bounded.timeout == pytest.approx(0.1)
-            assert not isinstance(unbounded, Exception)  # waited out the delay
+            assert bounded.timeout == pytest.approx(1e-9)
+            assert not isinstance(unbounded, Exception)
+            assert serving.stats.timeouts == 1
+
+    def test_thread_mode_query_finishing_late_times_out(self, monkeypatch):
+        import repro.ctc.api as api
+
+        real_search = api.search
+        started = []
+
+        def slow_search(*args, **kwargs):
+            started.append(True)
+            time.sleep(1.0)
+            return real_search(*args, **kwargs)
+
+        graph = erdos_renyi_graph(30, 0.25, seed=5)
+        with ServingEngine(graph, workers=2) as serving:
+            serving.query(QUERY, **SEARCH)  # resolve the snapshot up front
+            monkeypatch.setattr(api, "search", slow_search)
+            (slot,) = serving.query_batch(
+                [QUERY], timeout=0.5, return_exceptions=True, **SEARCH
+            )
+            assert started == [True]  # it ran, then overran its deadline
+            assert isinstance(slot, QueryTimeoutError)
+            assert serving.stats.timeouts == 1
+
+    def test_thread_mode_refuses_fault_plan(self):
+        graph = erdos_renyi_graph(20, 0.3, seed=2)
+        with pytest.raises(ConfigurationError, match="fault_plan"):
+            ServingEngine(graph, workers=1, fault_plan=FaultPlan().delay_reply(0, 0, 1.0))
+
+    def test_thread_mode_budgets_only_peel_methods_with_remaining_time(
+        self, monkeypatch
+    ):
+        """``bulk-delete`` gets the remaining budget; ``lctc`` gets none."""
+        import repro.ctc.api as api
+
+        seen = []
+        real_search = api.search
+
+        def recording_search(target, query, method="lctc", **kwargs):
+            seen.append((method, kwargs.get("time_budget_seconds")))
+            return real_search(target, query, method=method, **kwargs)
+
+        monkeypatch.setattr(api, "search", recording_search)
+        graph = erdos_renyi_graph(30, 0.25, seed=5)
+        with ServingEngine(graph, workers=2) as serving:
+            serving.query(QUERY, method="bulk-delete", timeout=30)
+            serving.query(QUERY, method="lctc", eta=20, timeout=30)
+        (bulk_method, bulk_budget), (lctc_method, lctc_budget) = seen
+        assert bulk_method == "bulk-delete" and 0 < bulk_budget <= 30
+        assert lctc_method == "lctc" and lctc_budget is None
 
     def test_timeout_validation(self):
         graph = erdos_renyi_graph(20, 0.3, seed=2)
@@ -227,30 +276,22 @@ class TestDeadlines:
         import asyncio
 
         graph = erdos_renyi_graph(30, 0.25, seed=5)
-        plan = FaultPlan().delay_reply(0, 0, 1.5)
-        with ServingEngine(graph, workers=2, fault_plan=plan) as serving:
+        with ServingEngine(graph, workers=2) as serving:
 
             async def fan_out():
-                bounded = serving.aquery(QUERY, timeout=0.2, **SEARCH)
+                bounded = serving.aquery(QUERY, timeout=1e-9, **SEARCH)
                 unbounded = serving.aquery(QUERY, **SEARCH)
                 return await asyncio.gather(
                     bounded, unbounded, return_exceptions=True
                 )
 
             bounded, unbounded = asyncio.run(fan_out())
-            # Different timeouts land in different groups: only the bounded
-            # group's batch carried the scripted delay or the deadline.
-            assert serving.stats.batches == 2
-            timed_out = [
-                r for r in (bounded, unbounded) if isinstance(r, QueryTimeoutError)
-            ]
-            clean = [r for r in (bounded, unbounded) if not isinstance(r, Exception)]
-            # The delay hits whichever group dispatched first; the bounded
-            # query may time out, the unbounded one must always succeed.
+            # Different timeouts land in different groups, one batch each;
+            # only the bounded group's batch carries the deadline.
+            assert isinstance(bounded, QueryTimeoutError)
             assert not isinstance(unbounded, Exception)
-            assert len(clean) >= 1
-            if timed_out:
-                assert serving.stats.timeouts == len(timed_out)
+            assert serving.stats.batches == 2
+            assert serving.stats.timeouts == 1
 
 
 class TestQuarantine:
@@ -375,63 +416,130 @@ class TestFaultPlan:
             ServingEngine(graph, workers=1, respawn_backoff=-0.1)
 
 
+#: A process-mode parent over two components: prints its shm segment names
+#: and shard worker pids, then sleeps until the test signals it.
+#: ``{prelude}`` runs before the engine is built.
+_PARENT_SCRIPT = """
+import signal, sys, time
+from repro.engine import ServingEngine
+from repro.graph.generators import erdos_renyi_graph
+from repro.graph.simple_graph import UndirectedGraph
+
+{prelude}
+graph = UndirectedGraph()
+for base in (0, 100):
+    for u, v in erdos_renyi_graph(15, 0.3, seed=4).edges():
+        graph.add_edge(base + u, base + v)
+serving = ServingEngine(graph, workers=2, mode="process")
+names = [
+    segment_name
+    for bundle in serving._bundles
+    for (segment_name, _, _) in bundle.meta.arrays.values()
+]
+print("SEGMENTS:" + ",".join(names), flush=True)
+print("WORKERS:" + ",".join(str(proc.pid) for proc in serving._procs), flush=True)
+time.sleep(60)  # the test signals us long before this returns
+"""
+
+
+def _start_parent(prelude: str = ""):
+    """Run :data:`_PARENT_SCRIPT`; return ``(proc, segment names, worker pids)``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PARENT_SCRIPT.format(prelude=prelude)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("SEGMENTS:"), (line, proc.stderr.read())
+        names = line[len("SEGMENTS:"):].strip().split(",")
+        line = proc.stdout.readline()
+        assert line.startswith("WORKERS:"), (line, proc.stderr.read())
+        pids = [int(pid) for pid in line[len("WORKERS:"):].strip().split(",")]
+    except BaseException:
+        proc.kill()
+        proc.wait(timeout=10)
+        raise
+    assert names and all(names)
+    assert len(pids) == 2
+    return proc, names, pids
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (an exited, unreaped worker)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: an existing pid counts as running
+        return True
+
+
+def _survivors(items, alive, seconds: float = 10.0) -> list:
+    """Poll until no item is ``alive`` or ``seconds`` pass; return the survivors."""
+    deadline = time.monotonic() + seconds
+    survivors = [item for item in items if alive(item)]
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)
+        survivors = [item for item in survivors if alive(item)]
+    return survivors
+
+
+def _reap(proc, pids) -> None:
+    """Kill the parent and any worker still running (cleanup on failure)."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+    for pid in pids:
+        if _running(pid):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def _segment_exists(name: str) -> bool:
+    return os.path.exists(f"/dev/shm/{name}")
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals and /dev/shm")
 class TestSignalCleanup:
-    def test_sigterm_unlinks_shared_memory_segments(self, tmp_path):
-        """A SIGTERM-killed parent must not leak its /dev/shm segments."""
-        script = textwrap.dedent(
-            """
-            import os, signal, sys, time
-            from repro.engine import ServingEngine
-            from repro.graph.generators import erdos_renyi_graph
-            from repro.graph.simple_graph import UndirectedGraph
-
-            graph = UndirectedGraph()
-            for base in (0, 100):
-                for u, v in erdos_renyi_graph(15, 0.3, seed=4).edges():
-                    graph.add_edge(base + u, base + v)
-            serving = ServingEngine(graph, workers=2, mode="process")
-            names = [
-                segment_name
-                for bundle in serving._bundles
-                for (segment_name, _, _) in bundle.meta.arrays.values()
-            ]
-            print("SEGMENTS:" + ",".join(names), flush=True)
-            time.sleep(60)  # the parent kills us long before this returns
-            """
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
+    def test_sigterm_unlinks_shared_memory_segments(self):
+        """A SIGTERM-killed parent leaks no /dev/shm segment and no worker."""
+        proc, names, pids = _start_parent()
         try:
-            line = proc.stdout.readline()
-            assert line.startswith("SEGMENTS:"), (line, proc.stderr.read())
-            names = line[len("SEGMENTS:"):].strip().split(",")
-            assert names and all(names)
             for name in names:
-                assert os.path.exists(f"/dev/shm/{name}"), name
+                assert _segment_exists(name), name
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
             # The handler re-raises into the default disposition: killed by
             # SIGTERM, not a clean exit that would mask a swallowed signal.
             assert returncode == -signal.SIGTERM
-            deadline = time.monotonic() + 10
-            leaked = names
-            while leaked and time.monotonic() < deadline:
-                leaked = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
-                time.sleep(0.1)
+            leaked = _survivors(names, _segment_exists)
             assert not leaked, f"segments leaked after SIGTERM: {leaked}"
+            orphans = _survivors(pids, _running)
+            assert not orphans, f"workers outlived the SIGTERM'd parent: {orphans}"
         finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on failure
-                proc.kill()
-                proc.wait(timeout=10)
+            _reap(proc, pids)
+
+    def test_sigkill_parent_leaves_no_worker(self):
+        """Workers exit on their pipe's EOF even when no handler runs."""
+        proc, _, pids = _start_parent()
+        try:
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+            orphans = _survivors(pids, _running)
+            assert not orphans, f"workers outlived the SIGKILL'd parent: {orphans}"
+        finally:
+            _reap(proc, pids)
 
     def test_sigterm_chains_to_application_handler(self):
         """Cleanup must forward the signal to a previously installed handler.
@@ -441,61 +549,26 @@ class TestSignalCleanup:
         re-raise must land in that application handler (which exits with a
         sentinel code), not in the default die-by-signal disposition.
         """
-        script = textwrap.dedent(
+        prelude = textwrap.dedent(
             """
-            import signal, sys, time
-            from repro.engine import ServingEngine
-            from repro.graph.generators import erdos_renyi_graph
-            from repro.graph.simple_graph import UndirectedGraph
-
             def app_handler(signum, frame):
                 print("CHAINED", flush=True)
                 sys.exit(33)
 
             signal.signal(signal.SIGTERM, app_handler)
-            graph = UndirectedGraph()
-            for base in (0, 100):
-                for u, v in erdos_renyi_graph(15, 0.3, seed=4).edges():
-                    graph.add_edge(base + u, base + v)
-            serving = ServingEngine(graph, workers=2, mode="process")
-            names = [
-                segment_name
-                for bundle in serving._bundles
-                for (segment_name, _, _) in bundle.meta.arrays.values()
-            ]
-            print("SEGMENTS:" + ",".join(names), flush=True)
-            time.sleep(60)
             """
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
+        proc, names, pids = _start_parent(prelude)
         try:
-            line = proc.stdout.readline()
-            assert line.startswith("SEGMENTS:"), (line, proc.stderr.read())
-            names = line[len("SEGMENTS:"):].strip().split(",")
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
             output = proc.stdout.read()
             assert returncode == 33, (returncode, output, proc.stderr.read())
             assert "CHAINED" in output
-            deadline = time.monotonic() + 10
-            leaked = names
-            while leaked and time.monotonic() < deadline:
-                leaked = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
-                time.sleep(0.1)
+            leaked = _survivors(names, _segment_exists)
             assert not leaked, f"segments leaked before chaining: {leaked}"
         finally:
-            if proc.poll() is None:  # pragma: no cover - cleanup on failure
-                proc.kill()
-                proc.wait(timeout=10)
+            _reap(proc, pids)
 
 
 class _FakeServingEngine:
