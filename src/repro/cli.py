@@ -12,38 +12,35 @@ Examples
 ::
 
     ctc-search search graph.txt --query q1 q2 q3 --method lctc
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --mutate-every 5
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --mutate-every 5 --at-version 0
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --window 500
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --workers 4
-    ctc-search search graph.txt --query q1 q2 --engine --repeat 100 --workers 4 --serving-mode process
-    ctc-search search graph.txt --query q1 q2 --engine --data-dir ./store --fsync batch
-    ctc-search search --query q1 q2 --engine --data-dir ./store --recover
+    ctc-search search graph.txt --query q1 q2 --repeat 100
+    ctc-search search graph.txt --query q1 q2 --repeat 100 --mutate-every 5
+    ctc-search search graph.txt --query q1 q2 --repeat 100 --mutate-every 5 --at-version 0
+    ctc-search search graph.txt --query q1 q2 --repeat 100 --window 500
+    ctc-search search graph.txt --query q1 q2 --repeat 100 --workers 4
+    ctc-search search graph.txt --query q1 q2 --repeat 100 --workers 4 --serving-mode process
+    ctc-search search graph.txt --query q1 q2 --data-dir ./store --fsync batch
+    ctc-search search --query q1 q2 --data-dir ./store --recover
     ctc-search experiment table2
     ctc-search experiment fig12 --queries 10
 
-The ``--engine`` family of flags exposes the delta-propagation pipeline:
-``--cache-size`` and ``--delta-threshold`` are the engine's snapshot-LRU
-and rebuild-policy knobs, and ``--mutate-every N`` interleaves one edge
-mutation every N queries (a mixed read/write workload served through the
-delta path instead of full snapshot rebuilds).  The temporal layer rides
-on the same log: ``--at-version V`` pins every query at historical store
-version ``V`` (time-travel reads that stay put while ``--mutate-every``
-advances the store), and ``--window W`` serves the queries from a
-:class:`~repro.engine.SlidingWindowEngine` that retains only the ``W``
-most recently inserted edges, expiring the rest through incremental truss
-maintenance.  With ``--engine`` the CTC methods run on the array kernels of
-:mod:`repro.ctc.kernels`; without it, on the dict-path truss index — the
-results are identical either way.  ``--decomp`` picks the full-rebuild
-decomposition strategy (``auto``/``vector``/``bucket`` — the
-level-synchronous vector peel or the sequential bucket queue; trussness is
-bit-identical either way).  ``--workers N`` serves the ``--repeat`` loop
-through the concurrent :class:`~repro.engine.ServingEngine` front-end in
-batches of ``max(2N, 8)`` queries (``--mutate-every`` queries when set), one
-pinned snapshot per batch; ``--serving-mode`` picks the thread back end
-(default: each batch runs on the calling thread) or the shard-per-process
-one (up to N worker processes).
+Every search is served by a :class:`~repro.engine.CTCEngine`: the graph is
+frozen into a CSR snapshot and the methods run on the array kernels of
+:mod:`repro.ctc.kernels`.  ``--cache-size`` and ``--delta-threshold`` are
+the engine's snapshot-LRU and rebuild-policy knobs, and ``--mutate-every
+N`` interleaves one edge mutation every N queries (a mixed read/write
+workload served through the delta path instead of full snapshot
+rebuilds).  The temporal layer rides on the same log: ``--at-version V``
+pins every query at historical store version ``V`` (time-travel reads that
+stay put while ``--mutate-every`` advances the store), and ``--window W``
+serves the queries from a :class:`~repro.engine.SlidingWindowEngine` that
+retains only the ``W`` most recently inserted edges, expiring the rest
+through incremental truss maintenance.  ``--workers N`` serves the
+``--repeat`` loop through the concurrent
+:class:`~repro.engine.ServingEngine` front-end in batches of ``max(2N, 8)``
+queries (``--mutate-every`` queries when set), one pinned snapshot per
+batch; ``--serving-mode`` picks the thread back end (default: each batch
+runs on the calling thread) or the shard-per-process one (up to N worker
+processes).
 ``--query-timeout S`` puts a per-query deadline on every served query:
 an overdue query fails with a typed timeout instead of stalling its
 batch (the serving layer's fault-tolerance machinery — crashed shard
@@ -136,26 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--eta", type=int, default=1000, help="LCTC expansion budget")
     search_parser.add_argument("--gamma", type=float, default=3.0, help="LCTC trussness penalty")
     search_parser.add_argument(
-        "--engine",
-        action="store_true",
-        help="serve the query through the cached CTCEngine (CSR snapshot + array kernels)",
-    )
-    search_parser.add_argument(
-        "--decomp",
-        choices=("auto", "vector", "bucket"),
-        default=None,
-        help=(
-            "full-rebuild decomposition strategy with --engine: 'auto' (default) "
-            "picks the level-synchronous vector peel or the sequential bucket "
-            "queue by snapshot size, 'vector'/'bucket' pin one; trussness is "
-            "bit-identical either way"
-        ),
-    )
-    search_parser.add_argument(
         "--repeat",
         type=int,
         default=1,
-        help="run the query N times and report throughput (pair with --engine to see caching win)",
+        help="run the query N times and report throughput (repeats hit the snapshot cache)",
     )
     search_parser.add_argument(
         "--cache-size",
@@ -180,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "mixed workload: apply one edge mutation every N queries of the "
-            "--repeat loop (alternating removals and re-insertions; requires "
-            "--engine)"
+            "--repeat loop (alternating removals and re-insertions)"
         ),
     )
     search_parser.add_argument(
@@ -192,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "time-travel read: pin every query at historical store version V "
             "(resolved through the engine's delta log; evicted versions fail "
-            "with the retained range; requires --engine)"
+            "with the retained range)"
         ),
     )
     search_parser.add_argument(
@@ -204,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             "serve the --repeat loop through the concurrent ServingEngine "
             "front-end in batches of max(2N, 8) queries (--mutate-every "
             "queries when set) against one pinned snapshot per batch; process "
-            "mode runs up to N shard workers (requires --engine; 0 disables)"
+            "mode runs up to N shard workers (0 disables)"
         ),
     )
     search_parser.add_argument(
@@ -235,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "durable mode: append every mutation to a checksummed write-ahead "
-            "log under DIR and publish atomic snapshot checkpoints there "
-            "(requires --engine)"
+            "log under DIR and publish atomic snapshot checkpoints there"
         ),
     )
     search_parser.add_argument(
@@ -277,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "sliding-window mode: retain only the W most recently inserted "
             "edges, expiring older ones through incremental truss maintenance "
-            "(requires --engine; the loaded graph seeds the window)"
+            "(the loaded graph seeds the window)"
         ),
     )
 
@@ -296,26 +275,16 @@ def _run_search(args: argparse.Namespace) -> int:
         raise SystemExit("--repeat must be >= 1")
     if args.mutate_every < 0:
         raise SystemExit("--mutate-every must be >= 0")
-    if args.mutate_every and not args.engine:
-        raise SystemExit("--mutate-every requires --engine (mutations go through the delta log)")
     if args.cache_size < 1:
         raise SystemExit("--cache-size must be >= 1")
     if args.delta_threshold < 0:
         raise SystemExit("--delta-threshold must be >= 0")
-    if args.decomp and not args.engine:
-        raise SystemExit("--decomp requires --engine (it picks the snapshot rebuild strategy)")
-    if args.at_version is not None and not args.engine:
-        raise SystemExit("--at-version requires --engine (only the delta log holds history)")
     if args.at_version is not None and args.at_version < 0:
         raise SystemExit("--at-version must be >= 0")
     if args.window < 0:
         raise SystemExit("--window must be >= 1 (0 disables windowing)")
-    if args.window and not args.engine:
-        raise SystemExit("--window requires --engine (expiry runs through the delta log)")
     if args.workers < 0:
         raise SystemExit("--workers must be >= 1 (0 disables the serving layer)")
-    if args.workers and not args.engine:
-        raise SystemExit("--workers requires --engine (the serving layer fronts the engine)")
     if args.serving_mode and not args.workers:
         raise SystemExit("--serving-mode requires --workers")
     if args.query_timeout is not None and not args.workers:
@@ -327,8 +296,6 @@ def _run_search(args: argparse.Namespace) -> int:
             "--workers does not combine with --window (window expiry bookkeeping "
             "is not routed through the serving layer)"
         )
-    if args.data_dir and not args.engine:
-        raise SystemExit("--data-dir requires --engine (the WAL hangs off the delta log)")
     if args.checkpoint_every is not None and not args.data_dir:
         raise SystemExit("--checkpoint-every requires --data-dir")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
@@ -359,190 +326,187 @@ def _run_search(args: argparse.Namespace) -> int:
             fsync=args.fsync or "batch",
             checkpoint_every=args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY,
         )
-    if args.engine:
-        engine_kwargs = dict(
-            cache_size=args.cache_size,
-            delta_threshold=args.delta_threshold,
-            decomp=args.decomp or "auto",
-        )
-        if args.recover:
-            try:
-                if args.window:
-                    target = SlidingWindowEngine.recover(
-                        durability, window=args.window, **engine_kwargs
-                    )
-                else:
-                    target = CTCEngine.recover(durability, **engine_kwargs)
-            except (ConfigurationError, WalCorruptionError) as exc:
-                raise SystemExit(f"--recover failed: {exc}") from exc
-        else:
-            graph = read_edge_list(args.graph)
+    engine_kwargs = dict(
+        cache_size=args.cache_size,
+        delta_threshold=args.delta_threshold,
+    )
+    if args.recover:
+        try:
             if args.window:
-                target = SlidingWindowEngine(
-                    graph,
-                    window=args.window,
-                    copy=False,
-                    durability=durability,
-                    **engine_kwargs,
+                target = SlidingWindowEngine.recover(
+                    durability, window=args.window, **engine_kwargs
                 )
             else:
-                target = CTCEngine(
-                    graph, copy=False, durability=durability, **engine_kwargs
-                )
+                target = CTCEngine.recover(durability, **engine_kwargs)
+        except (ConfigurationError, WalCorruptionError) as exc:
+            raise SystemExit(f"--recover failed: {exc}") from exc
     else:
-        target = read_edge_list(args.graph)
-    serving = None
-    if args.workers:
-        serving = ServingEngine(
-            target,
-            workers=args.workers,
-            mode=serving_mode,
-            cache_size=args.cache_size,
-            delta_threshold=args.delta_threshold,
-            decomp=args.decomp or "auto",
-        )
-    mutator = None
-    if args.mutate_every:
-        mutator = EdgeChurn(serving or target, seed=0, protect=args.query)
-        if not mutator.mutable_edges:
-            raise SystemExit(
-                "--mutate-every has nothing to mutate: every edge is incident to a "
-                "query node"
-            )
-    started = time.perf_counter()
-    try:
-        if serving is not None:
-            # One pinned snapshot per batch: mutations land between batches,
-            # so every batch boundary is also a consistency boundary.
-            batch_size = args.mutate_every or max(2 * args.workers, 8)
-            remaining = args.repeat
-            while remaining:
-                if mutator is not None and remaining != args.repeat:
-                    mutator.step()
-                size = min(batch_size, remaining)
-                results = serving.query_batch(
-                    [args.query] * size,
-                    args.method,
-                    at_version=args.at_version,
-                    timeout=args.query_timeout,
-                    eta=args.eta,
-                    gamma=args.gamma,
-                )
-                result = results[-1]
-                remaining -= size
-        else:
-            for iteration in range(args.repeat):
-                if mutator is not None and iteration and iteration % args.mutate_every == 0:
-                    mutator.step()
-                result = search(
-                    target,
-                    args.query,
-                    method=args.method,
-                    eta=args.eta,
-                    gamma=args.gamma,
-                    at_version=args.at_version,
-                )
-    except QueryTimeoutError as error:
-        if serving is not None:
-            serving.close()
-        raise SystemExit(f"--query-timeout: {error}") from None
-    except VersionEvictedError as error:
-        if serving is not None:
-            serving.close()
-        raise SystemExit(f"--at-version: {error}") from None
-    except ValueError as error:
-        if serving is not None:
-            serving.close()
-        if args.at_version is not None:
-            raise SystemExit(f"--at-version: {error}") from None
-        raise
-    elapsed = time.perf_counter() - started
-    print(f"method:        {result.method}")
-    print(f"trussness:     {result.trussness}")
-    print(f"nodes:         {result.num_nodes}")
-    print(f"edges:         {result.num_edges}")
-    print(f"density:       {result.density():.3f}")
-    print(f"diameter:      {result.diameter()}")
-    print(f"query distance:{result.query_distance}")
-    print("members:")
-    for node in sorted(result.nodes, key=repr):
-        print(f"  {node}")
-    if args.repeat > 1:
-        print(f"throughput:    {args.repeat / elapsed:.1f} queries/sec ({args.repeat} runs)")
-    if args.engine:
-        if serving is not None and serving.mode == "process":
-            stats = EngineStats(**serving.engine_stats())  # summed over shards
-        else:
-            stats = target.stats
-    if serving is not None:
-        serving.close()
-    if args.engine:
-        print(f"decomp:        {target.decomp}")
-        print(
-            f"engine cache:  {stats.hits} hits, {stats.misses} misses "
-            f"({stats.delta_applies} delta applies, {stats.full_rebuilds} full rebuilds)"
-        )
-        print(
-            f"incidence:     {stats.incidence_patches} patches, "
-            f"{stats.incidence_enumerations} full enumerations"
-        )
-        print(
-            f"pins:          {stats.leases} leases, "
-            f"{stats.deferred_reclamations} deferred reclamations"
-        )
-        if serving is not None:
-            sstats = serving.stats
-            print(
-                f"serving:       mode={sstats.mode}, workers={sstats.workers}, "
-                f"{sstats.batches} batches"
-            )
-            print(
-                f"coalescing:    {sstats.coalesced_queries}/{sstats.queries} queries "
-                f"coalesced, {sstats.snapshot_reuses} snapshot reuses, "
-                f"{sstats.cross_shard_rejects} cross-shard rejects"
-            )
-            print(
-                f"faults:        {sstats.worker_crashes} crashes, "
-                f"{sstats.respawns} respawns, {sstats.requeued_queries} requeued, "
-                f"{sstats.timeouts} timeouts, "
-                f"{sstats.quarantined_shards} quarantined shards"
-            )
-        if args.at_version is not None or stats.time_travel_reads:
-            retained = target.retained_versions()
-            print(
-                f"time travel:   {stats.time_travel_reads} pinned reads, "
-                f"retained versions {retained[0]}..{retained[1]}"
-            )
+        graph = read_edge_list(args.graph)
         if args.window:
-            print(
-                f"window:        {len(target.window_edges())}/{target.window} live edges "
-                f"(version {target.version})"
+            target = SlidingWindowEngine(
+                graph,
+                window=args.window,
+                copy=False,
+                durability=durability,
+                **engine_kwargs,
             )
-        if args.recover and target.last_recovery is not None:
-            recovery = target.last_recovery
-            checkpoint = (
-                f"checkpoint v{recovery.checkpoint_version}"
-                if recovery.checkpoint_version is not None
-                else "no checkpoint (WAL only)"
+        else:
+            target = CTCEngine(
+                graph, copy=False, durability=durability, **engine_kwargs
             )
-            print(
-                f"recovery:      {checkpoint}, {recovery.replayed_deltas} deltas "
-                f"replayed of {recovery.wal_records} WAL records, "
-                f"{recovery.truncated_bytes} torn bytes truncated "
-                f"-> version {recovery.recovered_version} "
-                f"in {recovery.seconds:.3f}s"
+    serving = None
+    # Every exit below, error or not, closes the serving layer and then the
+    # durable engine, whose close() runs the WAL's final fsync.
+    try:
+        if args.workers:
+            serving = ServingEngine(
+                target,
+                workers=args.workers,
+                mode=serving_mode,
+                **engine_kwargs,
             )
-        if args.data_dir:
-            dstats = target.durability_stats()
-            print(
-                f"durability:    fsync={dstats['fsync_policy']}, "
-                f"{dstats['wal_appends']} WAL appends ({dstats['wal_fsyncs']} fsyncs, "
-                f"{dstats['wal_bytes']} bytes), {dstats['checkpoints']} checkpoints "
-                f"(last v{dstats['last_checkpoint_version']}, "
-                f"{dstats['deltas_since_checkpoint']} deltas since)"
-            )
+        mutator = None
+        if args.mutate_every:
+            mutator = EdgeChurn(serving or target, seed=0, protect=args.query)
+            if not mutator.mutable_edges:
+                raise SystemExit(
+                    "--mutate-every has nothing to mutate: every edge is incident to a "
+                    "query node"
+                )
+        started = time.perf_counter()
+        try:
+            if serving is not None:
+                # One pinned snapshot per batch: mutations land between batches,
+                # so every batch boundary is also a consistency boundary.
+                batch_size = args.mutate_every or max(2 * args.workers, 8)
+                remaining = args.repeat
+                while remaining:
+                    if mutator is not None and remaining != args.repeat:
+                        mutator.step()
+                    size = min(batch_size, remaining)
+                    results = serving.query_batch(
+                        [args.query] * size,
+                        args.method,
+                        at_version=args.at_version,
+                        timeout=args.query_timeout,
+                        eta=args.eta,
+                        gamma=args.gamma,
+                    )
+                    result = results[-1]
+                    remaining -= size
+            else:
+                for iteration in range(args.repeat):
+                    if mutator is not None and iteration and iteration % args.mutate_every == 0:
+                        mutator.step()
+                    result = search(
+                        target,
+                        args.query,
+                        method=args.method,
+                        eta=args.eta,
+                        gamma=args.gamma,
+                        at_version=args.at_version,
+                    )
+        except QueryTimeoutError as error:
+            raise SystemExit(f"--query-timeout: {error}") from None
+        except VersionEvictedError as error:
+            raise SystemExit(f"--at-version: {error}") from None
+        except ValueError as error:
+            if args.at_version is not None:
+                raise SystemExit(f"--at-version: {error}") from None
+            raise
+        elapsed = time.perf_counter() - started
+        print(f"method:        {result.method}")
+        print(f"trussness:     {result.trussness}")
+        print(f"nodes:         {result.num_nodes}")
+        print(f"edges:         {result.num_edges}")
+        print(f"density:       {result.density():.3f}")
+        print(f"diameter:      {result.diameter()}")
+        print(f"query distance:{result.query_distance}")
+        print("members:")
+        for node in sorted(result.nodes, key=repr):
+            print(f"  {node}")
+        if args.repeat > 1:
+            print(f"throughput:    {args.repeat / elapsed:.1f} queries/sec ({args.repeat} runs)")
+        _print_stats(args, target, serving)
+    finally:
+        if serving is not None:
+            serving.close()
+        if durability is not None:
             target.close()
     return 0
+
+
+def _print_stats(
+    args: argparse.Namespace, target: CTCEngine, serving: ServingEngine | None
+) -> None:
+    """The engine footer, plus one line per enabled layer."""
+    if serving is not None and serving.mode == "process":
+        stats = EngineStats(**serving.engine_stats())  # summed over shards
+    else:
+        stats = target.stats
+    print(
+        f"engine cache:  {stats.hits} hits, {stats.misses} misses "
+        f"({stats.delta_applies} delta applies, {stats.full_rebuilds} full rebuilds)"
+    )
+    print(
+        f"incidence:     {stats.incidence_patches} patches, "
+        f"{stats.incidence_enumerations} full enumerations"
+    )
+    print(
+        f"pins:          {stats.leases} leases, "
+        f"{stats.deferred_reclamations} deferred reclamations"
+    )
+    if serving is not None:
+        sstats = serving.stats
+        print(
+            f"serving:       mode={sstats.mode}, workers={sstats.workers}, "
+            f"{sstats.batches} batches"
+        )
+        print(
+            f"coalescing:    {sstats.coalesced_queries}/{sstats.queries} queries "
+            f"coalesced, {sstats.snapshot_reuses} snapshot reuses, "
+            f"{sstats.cross_shard_rejects} cross-shard rejects"
+        )
+        print(
+            f"faults:        {sstats.worker_crashes} crashes, "
+            f"{sstats.respawns} respawns, {sstats.requeued_queries} requeued, "
+            f"{sstats.timeouts} timeouts, "
+            f"{sstats.quarantined_shards} quarantined shards"
+        )
+    if args.at_version is not None or stats.time_travel_reads:
+        retained = target.retained_versions()
+        print(
+            f"time travel:   {stats.time_travel_reads} pinned reads, "
+            f"retained versions {retained[0]}..{retained[1]}"
+        )
+    if args.window:
+        print(
+            f"window:        {len(target.window_edges())}/{target.window} live edges "
+            f"(version {target.version})"
+        )
+    if args.recover and target.last_recovery is not None:
+        recovery = target.last_recovery
+        checkpoint = (
+            f"checkpoint v{recovery.checkpoint_version}"
+            if recovery.checkpoint_version is not None
+            else "no checkpoint (WAL only)"
+        )
+        print(
+            f"recovery:      {checkpoint}, {recovery.replayed_deltas} deltas "
+            f"replayed of {recovery.wal_records} WAL records, "
+            f"{recovery.truncated_bytes} torn bytes truncated "
+            f"-> version {recovery.recovered_version} "
+            f"in {recovery.seconds:.3f}s"
+        )
+    if args.data_dir:
+        dstats = target.durability_stats()
+        print(
+            f"durability:    fsync={dstats['fsync_policy']}, "
+            f"{dstats['wal_appends']} WAL appends ({dstats['wal_fsyncs']} fsyncs, "
+            f"{dstats['wal_bytes']} bytes), {dstats['checkpoints']} checkpoints "
+            f"(last v{dstats['last_checkpoint_version']}, "
+            f"{dstats['deltas_since_checkpoint']} deltas since)"
+        )
 
 
 def _run_experiment(args: argparse.Namespace) -> int:

@@ -60,7 +60,6 @@ def build_engine(
     *,
     cache_size: int | None = None,
     delta_threshold: float | None = None,
-    decomp: str | None = None,
     window: int | None = None,
     copy: bool = True,
 ) -> "CTCEngine":
@@ -84,8 +83,6 @@ def build_engine(
         kwargs["cache_size"] = cache_size
     if delta_threshold is not None:
         kwargs["delta_threshold"] = delta_threshold
-    if decomp is not None:
-        kwargs["decomp"] = decomp
     if window is not None:
         return SlidingWindowEngine(graph, window=window, **kwargs)
     return CTCEngine(graph, **kwargs)

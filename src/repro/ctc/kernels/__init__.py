@@ -14,8 +14,7 @@ Layout
 * :mod:`~repro.ctc.kernels.context` — :class:`QueryKernel`, the lazily
   derived per-snapshot structures (sorted adjacency, ``repr`` ranks, ...);
 * :mod:`~repro.ctc.kernels.find_g0` — Algorithm 2: masked-BFS binary search
-  over trussness levels (large snapshots) or the scalar union-find sweep
-  (small ones);
+  over trussness levels;
 * :mod:`~repro.ctc.kernels.peeling` — Algorithms 1/3/4 as the masked array
   peel engine (alive masks + incidence cascade + frontier-BFS distances),
   with the adjacency-map engine kept for tiny working subgraphs;

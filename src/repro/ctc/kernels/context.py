@@ -118,7 +118,6 @@ class QueryKernel:
         "_vertex_tau",
         "_levels",
         "_label_array",
-        "_edge_order_desc",
         "_edge_u_list",
         "_edge_v_list",
         "_on_enumerate",
@@ -152,7 +151,6 @@ class QueryKernel:
         self._vertex_tau: list[int] | None = None
         self._levels: list[int] | None = None
         self._label_array: np.ndarray | None = None
-        self._edge_order_desc: list[int] | None = None
         self._edge_u_list: list[int] | None = None
         self._edge_v_list: list[int] | None = None
         self._lock = threading.RLock()
@@ -378,16 +376,6 @@ class QueryKernel:
         if self._levels is None:
             self._levels = np.unique(self.trussness)[::-1].tolist()
         return self._levels
-
-    @property
-    def edge_order_desc(self) -> list[int]:
-        """Edge ids sorted by decreasing trussness (stable), for FindG0's
-        scalar union-find sweep (the small-kernel strategy)."""
-        if self._edge_order_desc is None:
-            self._edge_order_desc = np.argsort(
-                -self.trussness, kind="stable"
-            ).tolist()
-        return self._edge_order_desc
 
     @property
     def label_array(self) -> np.ndarray:

@@ -5,24 +5,18 @@ walks the truss index level by level, BFS-style.  Its *result* is canonical
 — ``k`` is the largest trussness threshold at which the query nodes fall in
 one connected component of the ``{tau(e) >= k}`` subgraph, and ``G0`` is
 exactly that component — so the kernel is free to compute the same object a
-cheaper way, and it picks between **two** result-identical strategies by
-snapshot size:
+cheaper way.  Connectivity of ``Q`` in ``{tau(e) >= k}`` is *monotone* in
+``k`` (lowering the threshold only adds edges), which makes the answer a
+**binary search over the distinct trussness levels**, each probe one masked
+frontier BFS (:mod:`repro.graph.csr_bfs`) restricted to the qualifying
+edges with early exit as soon as every query node is reached — O(log
+levels) vectorized traversals instead of a per-edge Python sweep.  The
+component is then extracted with one more masked frontier BFS over the
+``{tau >= k}`` restriction.
 
-* at or above :data:`LEVEL_SEARCH_THRESHOLD` edges, connectivity of ``Q``
-  in ``{tau(e) >= k}`` being *monotone* in ``k`` (lowering the threshold
-  only adds edges) makes the answer a **binary search over the distinct
-  trussness levels**, each probe one masked frontier BFS
-  (:mod:`repro.graph.csr_bfs`) restricted to the qualifying edges with
-  early exit as soon as every query node is reached — O(log levels)
-  vectorized traversals instead of a per-edge Python sweep;
-* below it (notably the per-query *local* kernels the LCTC pipeline
-  decomposes, a few hundred edges each), the numpy round overhead does not
-  amortize, and the classic sweep wins: edges union into a disjoint-set
-  forest in decreasing trussness order, checking query connectivity at
-  each level boundary.
-
-The component is then extracted with a masked frontier BFS over the
-``{tau >= k}`` restriction on either strategy.
+Unlike the peel and the decomposition, FindG0 keeps no scalar twin for
+small kernels: on the LCTC pipeline's local kernels (a few hundred edges)
+a union-find sweep saves 30-50 µs per call, about 0.5% of an LCTC query.
 """
 
 from __future__ import annotations
@@ -33,65 +27,17 @@ from repro.ctc.kernels.context import QueryKernel
 from repro.exceptions import NoCommunityFoundError, QueryError
 from repro.graph.csr_bfs import masked_bfs
 
-__all__ = ["LEVEL_SEARCH_THRESHOLD", "find_g0", "connected_truss_at_k"]
-
-#: Snapshots with at least this many edges answer FindG0 by binary-searching
-#: the trussness levels with masked-BFS probes; smaller ones keep the scalar
-#: union-find sweep (same regime split as the peel and decomposition autos).
-LEVEL_SEARCH_THRESHOLD = 2048
+__all__ = ["find_g0", "connected_truss_at_k"]
 
 
-def _union_find_parent(parent: list[int], node: int) -> int:
-    """Find with path halving on a plain parent list."""
-    while parent[node] != node:
-        parent[node] = parent[parent[node]]
-        node = parent[node]
-    return node
-
-
-def _find_level_scalar(
+def _find_level(
     kernel: QueryKernel, query_ids: list[int], upper_bound: int
 ) -> int | None:
-    """The small-kernel strategy: one descending union-find sweep.
+    """The highest level <= ``upper_bound`` connecting ``Q``, or ``None``.
 
-    Returns the highest level <= ``upper_bound`` connecting ``Q``, or
-    ``None``.  Work is proportional to the edges with trussness >= the
-    answer, without any fixed numpy pass costs.
+    Binary search over the descending level list, one masked-BFS probe per
+    step.
     """
-    tau = kernel.tau
-    edge_u = kernel.edge_u
-    edge_v = kernel.edge_v
-    order = kernel.edge_order_desc
-    parent = list(range(kernel.csr.number_of_nodes()))
-    anchor = query_ids[0]
-    others = query_ids[1:]
-
-    position = 0
-    total = len(order)
-    for level in kernel.levels:
-        # Union every edge at this trussness level (the sweep is cumulative).
-        while position < total:
-            edge = order[position]
-            if tau[edge] < level:
-                break
-            root_a = _union_find_parent(parent, edge_u[edge])
-            root_b = _union_find_parent(parent, edge_v[edge])
-            if root_a != root_b:
-                parent[root_b] = root_a
-            position += 1
-        if level > upper_bound:
-            # Lemma 1: no level above min vertex trussness can connect Q.
-            continue
-        anchor_root = _union_find_parent(parent, anchor)
-        if all(_union_find_parent(parent, node) == anchor_root for node in others):
-            return level
-    return None
-
-
-def _find_level_masked(
-    kernel: QueryKernel, query_ids: list[int], upper_bound: int
-) -> int | None:
-    """The large-kernel strategy: binary search with masked-BFS probes."""
     levels = [level for level in kernel.levels if level <= upper_bound]
     if not levels or not _query_connected_at_k(kernel, query_ids, levels[-1]):
         return None
@@ -185,10 +131,7 @@ def find_g0(
         component_nodes, component_edges = _component_at_k(kernel, node, upper_bound)
         return component_nodes, component_edges, upper_bound
 
-    if kernel.csr.number_of_edges() >= LEVEL_SEARCH_THRESHOLD:
-        answer = _find_level_masked(kernel, query_ids, upper_bound)
-    else:
-        answer = _find_level_scalar(kernel, query_ids, upper_bound)
+    answer = _find_level(kernel, query_ids, upper_bound)
     if answer is None:
         raise NoCommunityFoundError(
             f"no connected k-truss (k >= 2) contains all query nodes "

@@ -452,12 +452,6 @@ class CTCEngine:
     delta_log_limit:
         How many per-mutation deltas the log retains (``0`` disables the
         log and with it the delta path).
-    decomp:
-        Decomposition strategy for full rebuilds (CLI: ``--decomp``):
-        ``"auto"`` (default) picks the level-synchronous vector peel or the
-        sequential bucket queue by snapshot size, ``"vector"`` / ``"bucket"``
-        pin one — see :mod:`repro.trusses.csr_decomposition`.  Both produce
-        bit-identical trussness; the knob is purely a performance decision.
     durability:
         ``None`` (default) keeps the engine RAM-only.  A
         :class:`~repro.engine.persistence.DurabilityConfig` (or a bare
@@ -492,7 +486,6 @@ class CTCEngine:
         copy: bool = True,
         delta_threshold: float = DEFAULT_DELTA_THRESHOLD,
         delta_log_limit: int = DEFAULT_DELTA_LOG_LIMIT,
-        decomp: str = "auto",
         durability: DurabilityConfig | str | os.PathLike | None = None,
     ) -> None:
         if cache_size < 1:
@@ -501,10 +494,6 @@ class CTCEngine:
             raise ValueError(f"delta_threshold must be >= 0, got {delta_threshold}")
         if delta_log_limit < 0:
             raise ValueError(f"delta_log_limit must be >= 0, got {delta_log_limit}")
-        if decomp not in ("auto", "vector", "bucket"):
-            raise ValueError(
-                f"decomp must be 'auto', 'vector' or 'bucket', got {decomp!r}"
-            )
         if graph is None:
             self._graph = UndirectedGraph()
         else:
@@ -513,7 +502,6 @@ class CTCEngine:
         self._cache_size = cache_size
         self._delta_threshold = delta_threshold
         self._delta_log_limit = delta_log_limit
-        self._decomp = decomp
         self._cache: OrderedDict[int, EngineSnapshot] = OrderedDict()
         #: version -> delta that produced it (contiguous, bounded window).
         self._delta_log: OrderedDict[int, GraphDelta] = OrderedDict()
@@ -642,11 +630,6 @@ class CTCEngine:
     def cache_size(self) -> int:
         """How many snapshot versions the LRU retains."""
         return self._cache_size
-
-    @property
-    def decomp(self) -> str:
-        """The full-rebuild decomposition strategy (see the class docstring)."""
-        return self._decomp
 
     def _record(self, delta: GraphDelta) -> None:
         """Log one effective mutation: bump the version and append its delta.
@@ -845,7 +828,7 @@ class CTCEngine:
         into the same directory.
 
         ``engine_kwargs`` are the usual constructor knobs (``cache_size``,
-        ``delta_threshold``, ``decomp``, ...; subclasses add their own,
+        ``delta_threshold``, ...; subclasses add their own,
         e.g. ``window=``).  The recovery details land on
         :attr:`last_recovery`.
 
@@ -1236,14 +1219,14 @@ class CTCEngine:
         the current version, a :meth:`_graph_at` reconstruction for a
         historical one); the decomposition here runs without any lock.
         Runs triangle enumeration + decomposition once via
-        :func:`~repro.trusses.csr_decomposition.csr_decompose` (strategy
-        from the ``decomp`` knob) and hands every artifact of the pass —
+        :func:`~repro.trusses.csr_decomposition.csr_decompose` (which picks
+        its strategy by edge count) and hands every artifact of the pass —
         trussness, supports, and the triangle incidence when the vector
         strategy enumerated one — to the snapshot, so nothing is computed
         twice downstream.
         """
         csr = CSRGraph.from_graph(frozen)
-        result = csr_decompose(csr, method=self._decomp)
+        result = csr_decompose(csr)
         if result.incidence is not None:
             self._note_enumeration()
         return EngineSnapshot(

@@ -503,8 +503,7 @@ class ServingEngine:
         seconds (attempt ``n`` sleeps ``respawn_backoff * 2**(n-1)``).
     **engine_kwargs:
         Forwarded to every internally created :class:`CTCEngine`
-        (``cache_size``, ``delta_threshold``, ``delta_log_limit``,
-        ``decomp``).
+        (``cache_size``, ``delta_threshold``, ``delta_log_limit``).
 
     Examples
     --------

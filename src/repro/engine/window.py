@@ -81,7 +81,7 @@ class SlidingWindowEngine(CTCEngine):
         Maximum number of live edges (``>= 1``).
     **engine_kwargs:
         Forwarded to :class:`CTCEngine` (``cache_size``,
-        ``delta_threshold``, ``delta_log_limit``, ``decomp``, ``copy``).
+        ``delta_threshold``, ``delta_log_limit``, ``copy``).
 
     Examples
     --------

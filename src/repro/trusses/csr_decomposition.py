@@ -22,9 +22,10 @@ execution strategies implement the same decomposition:
   below a few thousand edges the fixed cost of the numpy passes exceeds the
   whole Python peel.
 
-``method="auto"`` (every caller's default) picks between them by edge count
-(:data:`DEFAULT_VECTOR_THRESHOLD`); the engine's ``decomp`` knob (CLI
-``--decomp``) can pin either strategy.
+``method="auto"`` (every caller's default, the engine's full rebuilds
+included) picks between them by edge count
+(:data:`DEFAULT_VECTOR_THRESHOLD`); only the equivalence tests and the
+rebuild benchmark pin one.
 
 One deliberate difference from textbook peeling, shared by both strategies:
 a decrement never pushes an edge's support below the level currently being

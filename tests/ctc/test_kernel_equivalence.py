@@ -340,32 +340,6 @@ class TestPeelEngineEquivalence:
         )[:limit]
         assert set(picked.tolist()) == set(expected)
 
-    def test_masked_find_g0_strategy_matches_scalar(self, monkeypatch):
-        """LEVEL_SEARCH_THRESHOLD floored: the binary-search masked strategy
-        must return the same (k, G0) the scalar union-find sweep does."""
-        import importlib
-
-        # The package re-exports find_g0 the *function*, so reach the
-        # module through importlib to monkeypatch its threshold.
-        find_g0_mod = importlib.import_module("repro.ctc.kernels.find_g0")
-
-        for seed in range(12):
-            graph = erdos_renyi_graph(22, 0.35, seed=seed)
-            graph.add_node("isolated")
-            kernel = CTCEngine(graph).snapshot().kernel
-            for query in ([0, 1], [4], [2, 7, 13], [0, "isolated"]):
-                query_ids = [kernel.csr.node_id(node) for node in query]
-                results = {}
-                for name, threshold in (("scalar", 10**9), ("masked", 0)):
-                    monkeypatch.setattr(
-                        find_g0_mod, "LEVEL_SEARCH_THRESHOLD", threshold
-                    )
-                    try:
-                        results[name] = find_g0_mod.find_g0(kernel, query_ids)
-                    except NoCommunityFoundError as exc:
-                        results[name] = (type(exc).__name__, str(exc))
-                assert results["masked"] == results["scalar"], (seed, query)
-
     def test_masked_steiner_sweep_matches_scalar(self, monkeypatch):
         """MASKED_SWEEP_THRESHOLD floored: the ordered masked witness-path
         BFS must recover the exact paths (and hence trees) of the scalar
@@ -402,8 +376,8 @@ class TestPeelEngineEquivalence:
 
         # Force the reuse branch even on small test expansions.
         monkeypatch.setattr(kernel_search, "DEFAULT_VECTOR_THRESHOLD", 1)
-        graph = erdos_renyi_graph(35, 0.25, seed=3)
-        engine = CTCEngine(graph, decomp="vector")
+        graph = erdos_renyi_graph(40, 0.4, seed=3)  # 313 edges: vector build
+        engine = CTCEngine(graph)
         snapshot = engine.snapshot()
         assert snapshot.kernel.incidence is not None
         bare_kernel = QueryKernel(snapshot.csr, snapshot.trussness)

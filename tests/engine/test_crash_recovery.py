@@ -19,8 +19,10 @@ The WAL contract under crash is pinned twice more without processes:
   :class:`~repro.exceptions.WalCorruptionError` instead of resurrecting a
   damaged store.
 
-Everything is parametrized over both decomposition kernels, since replay
-rebuilds snapshots through whichever kernel the recovered engine uses.
+The kill -9 harness runs once per decomposition strategy, since replay
+rebuilds snapshots through whichever strategy the snapshot's size picks:
+each arm starts from a graph on its side of the size threshold and asserts
+the strategy its snapshots used.
 """
 
 from __future__ import annotations
@@ -48,21 +50,28 @@ from repro.graph.generators import erdos_renyi_graph
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: The scripted crash workload: initial graph + an always-effective stream.
-GRAPH_NODES, GRAPH_P, GRAPH_SEED = 24, 0.25, 13
+#: A graph is the ``(nodes, p)`` of ``erdos_renyi_graph(nodes, p, seed=GRAPH_SEED)``.
+GRAPH, GRAPH_SEED = (24, 0.25), 13
 STREAM_SEED, STREAM_LENGTH = 29, 24
+
+#: One initial graph per full-rebuild strategy, for the kill -9 harness:
+#: 76 edges take the bucket queue, 315 the vector peel.
+STRATEGY_GRAPHS = [
+    pytest.param((24, 0.25), "bucket", id="bucket"),
+    pytest.param((40, 0.4), "vector", id="vector"),
+]
 
 common_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-DECOMPS = ("vector", "bucket")
+
+def _initial_graph(graph=GRAPH):
+    nodes, p = graph
+    return erdos_renyi_graph(nodes, p, seed=GRAPH_SEED)
 
 
-def _initial_graph():
-    return erdos_renyi_graph(GRAPH_NODES, GRAPH_P, seed=GRAPH_SEED)
-
-
-def _mutation_stream() -> list[tuple[str, int, int]]:
+def _mutation_stream(graph=GRAPH) -> list[tuple[str, int, int]]:
     """A deterministic, always-effective add/remove stream.
 
     Simulated against a set model so every op changes the store — each op
@@ -70,7 +79,7 @@ def _mutation_stream() -> list[tuple[str, int, int]]:
     the parent equate ``recovered.version`` with a stream prefix length.
     """
     rng = random.Random(STREAM_SEED)
-    edges = {tuple(sorted(edge)) for edge in _initial_graph().edges()}
+    edges = {tuple(sorted(edge)) for edge in _initial_graph(graph).edges()}
     ops: list[tuple[str, int, int]] = []
     spare = 100
     while len(ops) < STREAM_LENGTH:
@@ -86,10 +95,10 @@ def _mutation_stream() -> list[tuple[str, int, int]]:
     return ops
 
 
-def _oracle_engine(prefix: int, decomp: str) -> CTCEngine:
+def _oracle_engine(prefix: int, graph=GRAPH) -> CTCEngine:
     """An uninterrupted engine that applied exactly ``prefix`` stream ops."""
-    engine = CTCEngine(_initial_graph(), copy=False, decomp=decomp)
-    for op, u, v in _mutation_stream()[:prefix]:
+    engine = CTCEngine(_initial_graph(graph), copy=False)
+    for op, u, v in _mutation_stream(graph)[:prefix]:
         if op == "add":
             engine.add_edge(u, v)
         else:
@@ -125,13 +134,12 @@ CHILD_SCRIPT = textwrap.dedent(
     from repro.engine import CTCEngine, DurabilityConfig
     from repro.graph.generators import erdos_renyi_graph
 
-    ops_path, data_dir, decomp, checkpoint_every = sys.argv[1:5]
+    ops_path, data_dir, nodes, p, checkpoint_every = sys.argv[1:6]
     with open(ops_path) as handle:
         ops = json.load(handle)
     engine = CTCEngine(
-        erdos_renyi_graph({nodes}, {p}, seed={seed}),
+        erdos_renyi_graph(int(nodes), float(p), seed={seed}),
         copy=False,
-        decomp=decomp,
         durability=DurabilityConfig(
             path=data_dir,
             fsync="off",
@@ -150,18 +158,18 @@ CHILD_SCRIPT = textwrap.dedent(
     print("DONE", flush=True)
     time.sleep(120)  # hold the process open; the parent always SIGKILLs
     """
-).format(nodes=GRAPH_NODES, p=GRAPH_P, seed=GRAPH_SEED)
+).format(seed=GRAPH_SEED)
 
 
 class _CrashHarness:
     """Run the child workload and SIGKILL it at a chosen point."""
 
-    def __init__(self, tmp_path, decomp: str, checkpoint_every: int | None):
+    def __init__(self, tmp_path, graph, checkpoint_every: int | None):
         self.data_dir = os.fspath(tmp_path / "store")
         self.script = tmp_path / "child.py"
         self.script.write_text(CHILD_SCRIPT)
         ops_path = tmp_path / "ops.json"
-        ops_path.write_text(json.dumps(_mutation_stream()))
+        ops_path.write_text(json.dumps(_mutation_stream(graph)))
         env = dict(os.environ, PYTHONPATH=os.fspath(SRC_DIR))
         self.proc = subprocess.Popen(
             [
@@ -169,7 +177,7 @@ class _CrashHarness:
                 os.fspath(self.script),
                 os.fspath(ops_path),
                 self.data_dir,
-                decomp,
+                *map(str, graph),
                 "none" if checkpoint_every is None else str(checkpoint_every),
             ],
             stdout=subprocess.PIPE,
@@ -208,12 +216,17 @@ class _CrashHarness:
         assert self.proc.returncode == -signal.SIGKILL
 
 
-@pytest.mark.parametrize("decomp", DECOMPS)
+def _assert_strategy(snapshot, strategy: str) -> None:
+    """A full rebuild keeps a triangle incidence iff it took the vector peel."""
+    assert (snapshot.incidence is not None) == (strategy == "vector")
+
+
+@pytest.mark.parametrize("graph, strategy", STRATEGY_GRAPHS)
 class TestKillNineRecovery:
     """Real SIGKILL mid-stream: recovery equals the oracle prefix replay."""
 
-    def _check_recovery(self, data_dir, floor: int, decomp: str) -> None:
-        recovered = CTCEngine.recover(data_dir, decomp=decomp)
+    def _check_recovery(self, data_dir, graph, strategy: str, floor: int = -1) -> None:
+        recovered = CTCEngine.recover(data_dir)
         try:
             prefix = recovered.version
             # Everything the child acknowledged (printed) was flushed to
@@ -221,50 +234,45 @@ class TestKillNineRecovery:
             # bytes — so the durable prefix is at least the observed floor
             # and at most the whole stream.
             assert floor + 1 <= prefix <= STREAM_LENGTH
-            oracle = _oracle_engine(prefix, decomp)
+            oracle = _oracle_engine(prefix, graph)
             assert set(recovered.graph.edges()) == set(oracle.graph.edges())
-            _assert_bit_identical(oracle.snapshot(), recovered.snapshot())
+            expected = oracle.snapshot()
+            _assert_strategy(expected, strategy)
+            _assert_bit_identical(expected, recovered.snapshot())
         finally:
             recovered.close()
 
     @pytest.mark.parametrize("step", [0, 5, 13, STREAM_LENGTH - 2])
-    def test_kill_between_appends(self, tmp_path, decomp, step):
-        harness = _CrashHarness(tmp_path, decomp, checkpoint_every=7)
+    def test_kill_between_appends(self, tmp_path, graph, strategy, step):
+        harness = _CrashHarness(tmp_path, graph, checkpoint_every=7)
         floor = harness.kill_after_step(step)
-        self._check_recovery(harness.data_dir, floor, decomp)
+        self._check_recovery(harness.data_dir, graph, strategy, floor)
 
-    def test_kill_at_random_offsets(self, tmp_path, decomp):
+    def test_kill_at_random_offsets(self, tmp_path, graph, strategy):
         """Timing-randomized kills: mid-append and mid-checkpoint windows."""
         rng = random.Random(0xC0FFEE)
         for round_index in range(3):
             workdir = tmp_path / f"round-{round_index}"
             workdir.mkdir()
-            harness = _CrashHarness(workdir, decomp, checkpoint_every=5)
+            harness = _CrashHarness(workdir, graph, checkpoint_every=5)
             harness.kill_after_delay(rng.uniform(0.0, 1.5))
-            recovered = CTCEngine.recover(harness.data_dir, decomp=decomp)
-            try:
-                prefix = recovered.version
-                assert 0 <= prefix <= STREAM_LENGTH
-                oracle = _oracle_engine(prefix, decomp)
-                assert set(recovered.graph.edges()) == set(oracle.graph.edges())
-                _assert_bit_identical(oracle.snapshot(), recovered.snapshot())
-            finally:
-                recovered.close()
+            self._check_recovery(harness.data_dir, graph, strategy)
 
     def test_recovered_engine_resumes_and_survives_another_crash(
-        self, tmp_path, decomp
+        self, tmp_path, graph, strategy
     ):
         """Recover, keep mutating durably, recover again."""
-        harness = _CrashHarness(tmp_path, decomp, checkpoint_every=None)
+        harness = _CrashHarness(tmp_path, graph, checkpoint_every=None)
         floor = harness.kill_after_step(6)
-        recovered = CTCEngine.recover(harness.data_dir, decomp=decomp)
+        recovered = CTCEngine.recover(harness.data_dir)
         resumed_version = recovered.version
         recovered.add_edge(7000, 7001)
         recovered.close()
-        again = CTCEngine.recover(harness.data_dir, decomp=decomp)
+        again = CTCEngine.recover(harness.data_dir)
         try:
             assert again.version == resumed_version + 1
             assert again.graph.has_edge(7000, 7001)
+            _assert_strategy(again.snapshot(), strategy)
         finally:
             again.close()
         assert floor >= 6
@@ -439,7 +447,7 @@ class TestCheckpointCrashWindows:
             # post-checkpoint deltas replay.
             assert recovered.last_recovery.wal_records == 15
             assert recovered.last_recovery.replayed_deltas == 4
-            oracle = _oracle_engine(14, "auto")
+            oracle = _oracle_engine(14)
             _assert_bit_identical(oracle.snapshot(), recovered.snapshot())
         finally:
             recovered.close()
@@ -468,7 +476,7 @@ class TestCheckpointCrashWindows:
         try:
             assert recovered.last_recovery.checkpoint_version is None
             assert recovered.version == 8
-            oracle = _oracle_engine(8, "auto")
+            oracle = _oracle_engine(8)
             _assert_bit_identical(oracle.snapshot(), recovered.snapshot())
         finally:
             recovered.close()

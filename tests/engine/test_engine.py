@@ -301,23 +301,12 @@ class TestCorrectness:
 
 
 class TestDecompPipeline:
-    """The full-rebuild decomposition knob and the shared build artifacts."""
-
-    def test_invalid_decomp_rejected(self):
-        with pytest.raises(ValueError, match="decomp"):
-            CTCEngine(complete_graph(4), decomp="simd")
-
-    def test_strategies_build_identical_snapshots(self):
-        import numpy as np
-
-        graph = erdos_renyi_graph(40, 0.2, seed=11)
-        vector = CTCEngine(graph, decomp="vector").snapshot()
-        bucket = CTCEngine(graph, decomp="bucket").snapshot()
-        assert np.array_equal(vector.trussness, bucket.trussness)
-        assert np.array_equal(vector.supports, bucket.supports)
+    """Full rebuilds pick their decomposition strategy by edge count
+    (vector from DEFAULT_VECTOR_THRESHOLD edges up, bucket below) and hand
+    its artifacts to the snapshot."""
 
     def test_vector_build_shares_incidence_and_supports(self):
-        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11), decomp="vector")
+        engine = CTCEngine(erdos_renyi_graph(40, 0.4, seed=11))  # 294 edges
         snapshot = engine.snapshot()
         assert snapshot.incidence is not None
         # No recount on access: the decomposition's own arrays are handed over.
@@ -326,7 +315,7 @@ class TestDecompPipeline:
         assert snapshot.kernel.incidence is snapshot.incidence
 
     def test_bucket_build_has_supports_but_no_incidence(self):
-        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11), decomp="bucket")
+        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))  # 152 edges
         snapshot = engine.snapshot()
         assert snapshot.incidence is None
         assert snapshot.supports.shape == (snapshot.csr.number_of_edges(),)
@@ -347,13 +336,14 @@ class TestDecompPipeline:
         """The delta path seeded from the retained incidence stays exact."""
         import numpy as np
 
-        graph = erdos_renyi_graph(40, 0.25, seed=7)
-        engine = CTCEngine(graph, decomp="vector")
+        graph = erdos_renyi_graph(40, 0.4, seed=7)  # 344 edges: vector build
+        engine = CTCEngine(graph)
         base = engine.snapshot()
         assert base.incidence is not None
         for edge in sorted(graph.edges())[:6]:
             engine.remove_edge(*edge)
         patched = engine.snapshot()
         assert engine.stats.delta_applies == 1
-        oracle = CTCEngine(engine.graph, decomp="vector", delta_threshold=0).snapshot()
+        oracle = CTCEngine(engine.graph, delta_threshold=0).snapshot()
+        assert oracle.incidence is not None
         assert np.array_equal(patched.trussness, oracle.trussness)

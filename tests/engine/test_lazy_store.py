@@ -181,9 +181,11 @@ class TestEvictionFreesByRefcount:
             gc.enable()
 
     def test_kernel_enumeration_is_counted_after_its_snapshot_died(self):
-        # The bucket strategy enumerates no incidence, so the kernel must.
-        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11), decomp="bucket")
+        # 152 edges: the bucket strategy enumerates no incidence, so the
+        # kernel must.
+        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))
         snapshot = engine.snapshot()
+        assert snapshot.incidence is None
         kernel = snapshot.kernel
         snapshot_ref = weakref.ref(snapshot)
         del snapshot

@@ -427,12 +427,9 @@ class TestEngineDurability:
         engine = CTCEngine(complete_graph(5), durability=_config(tmp_path))
         engine.checkpoint()
         engine.close()
-        recovered = CTCEngine.recover(
-            _config(tmp_path), cache_size=2, delta_threshold=0, decomp="bucket"
-        )
+        recovered = CTCEngine.recover(_config(tmp_path), cache_size=2, delta_threshold=0)
         assert recovered.cache_size == 2
         assert recovered.delta_threshold == 0
-        assert recovered.decomp == "bucket"
         recovered.close()
 
 

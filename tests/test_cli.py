@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.paper_figures import figure_1_graph
+from repro.engine import CTCEngine
 from repro.graph.io import write_edge_list
 
 
@@ -62,71 +63,21 @@ class TestSearchCommand:
         assert "p1" in members
 
     def test_engine_flags_parse_with_defaults(self):
-        args = build_parser().parse_args(["search", "g.txt", "--query", "a", "--engine"])
+        args = build_parser().parse_args(["search", "g.txt", "--query", "a"])
         assert args.cache_size >= 1
         assert args.delta_threshold > 0
         assert args.mutate_every == 0
 
-    def test_mutate_every_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--mutate-every", "2"])
-
-    def test_decomp_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--decomp", "vector"])
-
-    def test_unknown_decomp_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["search", "g.txt", "--query", "a", "--engine", "--decomp", "simd"]
-            )
-
-    def test_decomp_strategies_agree(self, figure1_file, capsys):
-        """--decomp vector and --decomp bucket print the same community."""
-        outputs = {}
-        for decomp in ("vector", "bucket"):
-            exit_code = main(
-                ["search", figure1_file, "--query", "q1", "q2", "--method", "lctc",
-                 "--eta", "50", "--engine", "--decomp", decomp]
-            )
-            assert exit_code == 0
-            outputs[decomp] = capsys.readouterr().out
-            assert f"decomp:        {decomp}" in outputs[decomp]
-        assert outputs["vector"].split("members:")[1].split("decomp:")[0] == (
-            outputs["bucket"].split("members:")[1].split("decomp:")[0]
-        )
-
-    def test_dict_kernel_same_community(self, figure1_file, capsys):
-        """--engine (array kernels) prints the members the plain dict path does."""
-        base_args = ["search", figure1_file, "--query", "q1", "q2", "q3",
-                     "--method", "lctc", "--eta", "50"]
-        main(base_args)
-        dict_out = capsys.readouterr().out
-        main(base_args + ["--engine"])
-        engine_out = capsys.readouterr().out
-        assert "decomp:" not in dict_out
-        assert dict_out.split("members:")[1] == (
-            engine_out.split("members:")[1].split("decomp:")[0]
-        )
-
-    def test_at_version_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--at-version", "0"])
-
     def test_at_version_rejects_negative(self, figure1_file):
         with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--engine", "--at-version", "-1"])
-
-    def test_window_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--window", "10"])
+            main(["search", figure1_file, "--query", "q1", "--at-version", "-1"])
 
     def test_window_rejects_negative(self, figure1_file):
         with pytest.raises(SystemExit):
-            main(["search", figure1_file, "--query", "q1", "--engine", "--window", "-5"])
+            main(["search", figure1_file, "--query", "q1", "--window", "-5"])
 
     def test_temporal_flags_parse_with_defaults(self):
-        args = build_parser().parse_args(["search", "g.txt", "--query", "a", "--engine"])
+        args = build_parser().parse_args(["search", "g.txt", "--query", "a"])
         assert args.at_version is None
         assert args.window == 0
 
@@ -137,7 +88,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "6", "--mutate-every", "2",
+                "--repeat", "6", "--mutate-every", "2",
                 "--at-version", "0",
             ]
         )
@@ -150,7 +101,7 @@ class TestSearchCommand:
         with pytest.raises(SystemExit, match="--at-version"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--at-version", "999"]
+                 "--at-version", "999"]
             )
 
     def test_window_mode_reports_live_edges(self, figure1_file, capsys):
@@ -158,7 +109,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--window", "300",
+                "--window", "300",
             ]
         )
         captured = capsys.readouterr().out
@@ -171,7 +122,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "6", "--mutate-every", "2",
+                "--repeat", "6", "--mutate-every", "2",
                 "--cache-size", "2", "--delta-threshold", "0.5",
             ]
         )
@@ -180,33 +131,29 @@ class TestSearchCommand:
         assert "delta applies" in captured
         assert "throughput:" in captured
 
-    def test_workers_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit, match="--workers requires --engine"):
-            main(["search", figure1_file, "--query", "q1", "--workers", "2"])
-
     def test_serving_mode_requires_workers(self, figure1_file):
         with pytest.raises(SystemExit, match="--serving-mode requires --workers"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--serving-mode", "thread"]
+                 "--serving-mode", "thread"]
             )
 
     def test_workers_rejects_window(self, figure1_file):
         with pytest.raises(SystemExit, match="--workers does not combine"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--workers", "2", "--window", "10"]
+                 "--workers", "2", "--window", "10"]
             )
 
     def test_process_mode_rejects_at_version(self, figure1_file):
         with pytest.raises(SystemExit, match="--serving-mode thread"):
             main(
-                ["search", figure1_file, "--query", "q1", "--engine",
+                ["search", figure1_file, "--query", "q1",
                  "--workers", "2", "--serving-mode", "process", "--at-version", "0"]
             )
 
     def test_serving_flags_parse_with_defaults(self):
-        args = build_parser().parse_args(["search", "g.txt", "--query", "a", "--engine"])
+        args = build_parser().parse_args(["search", "g.txt", "--query", "a"])
         assert args.workers == 0
         assert args.serving_mode is None
         assert args.query_timeout is None
@@ -215,14 +162,14 @@ class TestSearchCommand:
         with pytest.raises(SystemExit, match="--query-timeout requires --workers"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--query-timeout", "5"]
+                 "--query-timeout", "5"]
             )
 
     def test_query_timeout_must_be_positive(self, figure1_file):
         with pytest.raises(SystemExit, match="--query-timeout must be > 0"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--workers", "2", "--query-timeout", "0"]
+                 "--workers", "2", "--query-timeout", "0"]
             )
 
     def test_query_timeout_serves_and_reports_fault_stats(self, figure1_file, capsys):
@@ -230,7 +177,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "4", "--workers", "2",
+                "--repeat", "4", "--workers", "2",
                 "--query-timeout", "30",
             ]
         )
@@ -245,7 +192,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "6", "--workers", "2",
+                "--repeat", "6", "--workers", "2",
                 "--mutate-every", "3",
             ]
         )
@@ -258,12 +205,12 @@ class TestSearchCommand:
 
     def test_thread_serving_same_community_as_plain_engine(self, figure1_file, capsys):
         base_args = ["search", figure1_file, "--query", "q1", "q2", "q3",
-                     "--method", "lctc", "--eta", "50", "--engine"]
+                     "--method", "lctc", "--eta", "50"]
         main(base_args)
         plain_out = capsys.readouterr().out
         main(base_args + ["--workers", "2", "--repeat", "4"])
         serving_out = capsys.readouterr().out
-        assert plain_out.split("members:")[1].split("decomp:")[0] == (
+        assert plain_out.split("members:")[1].split("engine cache:")[0] == (
             serving_out.split("members:")[1].split("throughput:")[0]
         )
 
@@ -272,7 +219,7 @@ class TestSearchCommand:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "4", "--workers", "2",
+                "--repeat", "4", "--workers", "2",
                 "--serving-mode", "process",
             ]
         )
@@ -284,46 +231,42 @@ class TestSearchCommand:
 
 
 class TestDurabilityFlags:
-    def test_data_dir_requires_engine(self, figure1_file):
-        with pytest.raises(SystemExit, match="--data-dir requires --engine"):
-            main(["search", figure1_file, "--query", "q1", "--data-dir", "/tmp/x"])
-
     def test_checkpoint_every_requires_data_dir(self, figure1_file):
         with pytest.raises(SystemExit, match="--checkpoint-every requires --data-dir"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--checkpoint-every", "5"]
+                 "--checkpoint-every", "5"]
             )
 
     def test_fsync_requires_data_dir(self, figure1_file):
         with pytest.raises(SystemExit, match="--fsync requires --data-dir"):
             main(
                 ["search", figure1_file, "--query", "q1",
-                 "--engine", "--fsync", "always"]
+                 "--fsync", "always"]
             )
 
     def test_recover_requires_data_dir(self, figure1_file):
         with pytest.raises(SystemExit, match="--recover requires --data-dir"):
-            main(["search", figure1_file, "--query", "q1", "--engine", "--recover"])
+            main(["search", figure1_file, "--query", "q1", "--recover"])
 
     def test_recover_rejects_graph_argument(self, figure1_file, tmp_path):
         with pytest.raises(SystemExit, match="omit the graph argument"):
             main(
-                ["search", figure1_file, "--query", "q1", "--engine",
+                ["search", figure1_file, "--query", "q1",
                  "--data-dir", str(tmp_path / "store"), "--recover"]
             )
 
     def test_graph_required_without_recover(self, tmp_path):
         with pytest.raises(SystemExit, match="edge-list file is required"):
             main(
-                ["search", "--query", "q1", "--engine",
+                ["search", "--query", "q1",
                  "--data-dir", str(tmp_path / "store")]
             )
 
     def test_data_dir_rejects_process_serving(self, figure1_file, tmp_path):
         with pytest.raises(SystemExit, match="--data-dir does not combine"):
             main(
-                ["search", figure1_file, "--query", "q1", "--engine",
+                ["search", figure1_file, "--query", "q1",
                  "--data-dir", str(tmp_path / "store"),
                  "--workers", "2", "--serving-mode", "process"]
             )
@@ -331,7 +274,7 @@ class TestDurabilityFlags:
     def test_unknown_fsync_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["search", "g.txt", "--query", "a", "--engine",
+                ["search", "g.txt", "--query", "a",
                  "--data-dir", "d", "--fsync", "sometimes"]
             )
 
@@ -340,7 +283,7 @@ class TestDurabilityFlags:
             [
                 "search", figure1_file, "--query", "q1", "q2",
                 "--method", "lctc", "--eta", "50",
-                "--engine", "--repeat", "4", "--mutate-every", "2",
+                "--repeat", "4", "--mutate-every", "2",
                 "--data-dir", str(tmp_path / "store"), "--fsync", "off",
             ]
         )
@@ -350,13 +293,34 @@ class TestDurabilityFlags:
         assert "appends" in captured
         assert (tmp_path / "store" / "wal.log").exists()
 
+    def test_failed_search_closes_the_durable_engine(
+        self, figure1_file, tmp_path, monkeypatch
+    ):
+        """An error exit still closes the durable engine (and so runs the
+        WAL's final fsync), exactly once."""
+        closes = []
+        real_close = CTCEngine.close
+
+        def counting_close(engine):
+            closes.append(engine)
+            real_close(engine)
+
+        monkeypatch.setattr(CTCEngine, "close", counting_close)
+        with pytest.raises(SystemExit, match="--at-version"):
+            main(
+                ["search", figure1_file, "--query", "q1", "q2",
+                 "--data-dir", str(tmp_path / "store"), "--fsync", "batch",
+                 "--at-version", "999"]
+            )
+        assert len(closes) == 1
+
     def test_recover_round_trip_prints_recovery_footer(
         self, figure1_file, tmp_path, capsys
     ):
         """A durable run followed by --recover serves the same community."""
         store = str(tmp_path / "store")
         base = ["--query", "q1", "q2", "--method", "lctc", "--eta", "50",
-                "--engine", "--data-dir", store]
+                "--data-dir", store]
         assert main(["search", figure1_file] + base + ["--checkpoint-every", "2",
                     "--repeat", "4", "--mutate-every", "2"]) == 0
         first = capsys.readouterr().out
@@ -375,7 +339,7 @@ class TestDurabilityFlags:
     def test_recover_from_wal_only(self, figure1_file, tmp_path, capsys):
         store = str(tmp_path / "store")
         base = ["--query", "q1", "q2", "--method", "lctc", "--eta", "50",
-                "--engine", "--data-dir", store]
+                "--data-dir", store]
         assert main(["search", figure1_file] + base) == 0
         capsys.readouterr()
         assert main(["search"] + base + ["--recover"]) == 0
@@ -385,14 +349,14 @@ class TestDurabilityFlags:
     def test_recover_missing_store_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="no durable state"):
             main(
-                ["search", "--query", "q1", "--engine",
+                ["search", "--query", "q1",
                  "--data-dir", str(tmp_path / "missing"), "--recover"]
             )
 
     def test_windowed_durable_recover(self, figure1_file, tmp_path, capsys):
         store = str(tmp_path / "store")
         args = ["--query", "q1", "q2", "--method", "lctc", "--eta", "50",
-                "--engine", "--window", "300", "--data-dir", store]
+                "--window", "300", "--data-dir", store]
         assert main(["search", figure1_file] + args) == 0
         capsys.readouterr()
         assert main(["search"] + args + ["--recover"]) == 0
