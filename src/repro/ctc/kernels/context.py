@@ -98,10 +98,10 @@ class QueryKernel:
     Thread-safety: the serving layer shares one kernel between reader
     threads.  The memos that are derived through multiple dependent fields
     or fire observer callbacks (:meth:`ensure_incidence`,
-    :attr:`sorted_arrays` / :meth:`sorted_row_stops`) build under an
-    internal lock; the remaining lazies are single-assignment value caches
-    of deterministic conversions, where the worst concurrent outcome is two
-    threads computing the same value once each.
+    :attr:`sorted_arrays`) build under an internal lock; the remaining
+    lazies are single-assignment value caches of deterministic conversions,
+    where the worst concurrent outcome is two threads computing the same
+    value once each.
     """
 
     __slots__ = (
@@ -112,7 +112,6 @@ class QueryKernel:
         "_flat",
         "_sorted",
         "_sorted_np",
-        "_sorted_keys",
         "_repr_rank",
         "_repr_rank_np",
         "_vertex_tau",
@@ -145,7 +144,6 @@ class QueryKernel:
         self._flat: tuple[list[int], list[int], list[int]] | None = None
         self._sorted: tuple[list[int], list[int], list[int], list[int]] | None = None
         self._sorted_np: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._sorted_keys: np.ndarray | None = None
         self._repr_rank: list[int] | None = None
         self._repr_rank_np: np.ndarray | None = None
         self._vertex_tau: list[int] | None = None
@@ -225,10 +223,7 @@ class QueryKernel:
         """``(bounds, neighbors, edges, neg_trussness)``: trussness-sorted rows.
 
         The ``numpy`` form of :attr:`sorted_adjacency` (same ordering, same
-        slots), which is what the masked frontier BFS of
-        :mod:`repro.graph.csr_bfs` traverses; combined with
-        :meth:`sorted_row_stops` the qualifying prefix for "trussness >= k"
-        needs no per-row bisect.
+        slots); one argsort derives both.
         """
         if self._sorted_np is None:
             with self._lock:
@@ -269,8 +264,9 @@ class QueryKernel:
         :meth:`TrussIndex.incident_edges_at_least` yields.  The qualifying
         prefix for trussness >= k ends at
         ``bisect_right(neg_trussness, -k, start, stop)``.  Plain-list form
-        of :attr:`sorted_arrays` for the scalar hot loops (the LCTC
-        expansion); both derive from one argsort.
+        of :attr:`sorted_arrays` for the scalar hot loops (the Steiner
+        witness search and the LCTC expansion); both derive from one
+        argsort.
         """
         if self._sorted is None:
             bounds, neighbors, edges, neg_tau = self.sorted_arrays
@@ -281,48 +277,6 @@ class QueryKernel:
                 neg_tau.tolist(),
             )
         return self._sorted
-
-    def sorted_row_stops(self, threshold: int):
-        """Row-stop resolver for the "trussness >= ``threshold``" prefixes.
-
-        Returns a callable mapping an id array (a BFS frontier) to the
-        exclusive slot bound where each listed node's qualifying prefix
-        ends inside :attr:`sorted_arrays` — the batch twin of the per-row
-        ``bisect_right(neg_trussness, -threshold, start, stop)`` the scalar
-        consumers run, resolved with one ``searchsorted`` per call against
-        a composite ``(row, neg trussness)`` key (non-decreasing by
-        construction, because rows are laid out in id order and each row is
-        sorted by increasing negated trussness).  Resolving per frontier
-        instead of materializing all-row bound arrays keeps the
-        threshold-sweep BFS cheap even on a freshly derived kernel — only
-        the visited rows ever pay.
-        """
-        if threshold > self.max_trussness:
-            # No edge qualifies anywhere; every prefix is empty.  (Also keeps
-            # the probes below inside their own rows' key ranges.)
-            indptr = self.csr.indptr
-            return lambda frontier: indptr[frontier]
-        if self._sorted_keys is None:
-            with self._lock:
-                if self._sorted_keys is None:
-                    csr = self.csr
-                    num_nodes = csr.number_of_nodes()
-                    row_of_slot = np.repeat(
-                        np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr)
-                    )
-                    neg_tau = self.sorted_arrays[3]
-                    self._sorted_keys = (
-                        row_of_slot * (self.max_trussness + 1)
-                        + (neg_tau + self.max_trussness)
-                    )
-        keys = self._sorted_keys
-        span = self.max_trussness + 1
-        offset = self.max_trussness - threshold
-
-        def stops(frontier: np.ndarray) -> np.ndarray:
-            return np.searchsorted(keys, frontier * span + offset, side="right")
-
-        return stops
 
     def ensure_incidence(self) -> TriangleIncidence:
         """Return the snapshot's triangle incidence, enumerating it if absent.

@@ -62,17 +62,14 @@ def _query_connected_at_k(
     other query node has been reached (a query node isolated at this level
     is simply never reached).
     """
-    csr = kernel.csr
     others = query_ids[1:]
-    result = masked_bfs(
-        csr.indptr,
-        csr.indices,
+    distances = masked_bfs(
+        kernel.csr,
         query_ids[:1],
-        slot_edge=csr.slot_edge,
         edge_alive=kernel.trussness >= k,
         until_reached=others,
     )
-    return bool((result.distances[others] >= 0).all())
+    return bool((distances[others] >= 0).all())
 
 
 def _component_at_k(
@@ -88,14 +85,7 @@ def _component_at_k(
     """
     csr = kernel.csr
     qualifying = kernel.trussness >= k
-    result = masked_bfs(
-        csr.indptr,
-        csr.indices,
-        [root],
-        slot_edge=csr.slot_edge,
-        edge_alive=qualifying,
-    )
-    visited = result.distances >= 0
+    visited = masked_bfs(csr, [root], edge_alive=qualifying) >= 0
     component_edges = np.nonzero(qualifying & visited[csr.edge_u])[0]
     return np.nonzero(visited)[0].tolist(), component_edges.tolist()
 

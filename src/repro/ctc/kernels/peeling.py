@@ -521,26 +521,15 @@ def _array_peel(
         # One BFS per query node; the first doubles as the connect_G(Q)
         # check (all remaining query nodes must be reachable from it), so
         # connectivity costs no extra traversal.
-        first = masked_bfs(
-            csr.indptr,
-            csr.indices,
-            query[:1],
-            slot_edge=csr.slot_edge,
-            edge_alive=edge_alive_full,
-        )
-        if query.size > 1 and bool((first.distances[query[1:]] < 0).any()):
+        first = masked_bfs(csr, query[:1], edge_alive=edge_alive_full)
+        if query.size > 1 and bool((first[query[1:]] < 0).any()):
             break
         maxima[:] = 0.0
-        fold_query_distance(maxima, first.distances)
+        fold_query_distance(maxima, first)
         for source in query[1:]:
-            result = masked_bfs(
-                csr.indptr,
-                csr.indices,
-                source[None],
-                slot_edge=csr.slot_edge,
-                edge_alive=edge_alive_full,
+            fold_query_distance(
+                maxima, masked_bfs(csr, source[None], edge_alive=edge_alive_full)
             )
-            fold_query_distance(maxima, result.distances)
         alive_nodes = np.nonzero(node_alive)[0]
         current_distance = float(maxima[alive_nodes].max()) if alive_nodes.size else 0.0
         if current_distance < best_distance:

@@ -2,28 +2,25 @@
 
 Array twin of :mod:`repro.ctc.steiner` (Definition 7 + the
 Kou–Markowsky–Berman 2-approximation).  The expensive part — the
-threshold-sweep BFS that computes exact truss distances — runs on the
-kernel's trussness-sorted rows with int ids; the KMB scaffolding (metric
-closure, Kruskal passes, leaf pruning) stays structurally identical to the
-dict path, including its ``repr``-keyed sort orders, because LCTC's
-downstream expansion is order-sensitive: same witness paths in, same
-community out.
+threshold-sweep BFS that computes exact truss distances — runs as a scalar
+queue over the kernel's trussness-sorted rows with int ids; the KMB
+scaffolding (metric closure, Kruskal passes, leaf pruning) stays
+structurally identical to the dict path, including its ``repr``-keyed sort
+orders, because LCTC's downstream expansion is order-sensitive: same
+witness paths in, same community out.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 
 from repro.ctc.kernels.context import QueryKernel
 from repro.exceptions import QueryError
 from repro.graph.components import UnionFind
-from repro.graph.csr_bfs import masked_bfs, path_from_parents
 from repro.graph.keys import edge_key
 
 __all__ = [
-    "MASKED_SWEEP_THRESHOLD",
     "truss_distance_between",
     "build_truss_steiner_tree",
     "minimum_trussness_of_tree",
@@ -31,24 +28,22 @@ __all__ = [
 
 _INF = float("inf")
 
-#: Snapshots with at least this many edges run the threshold-restricted
-#: witness-path BFS as an ordered masked frontier sweep; smaller ones keep
-#: the scalar queue.  The sweep's early exits (single target, tightening
-#: cutoff) keep visited sets tiny at bundled-dataset scale, where per-round
-#: numpy pass costs exceed the whole Python walk — the same regime split as
-#: the peel/decomposition/FindG0 autos, with the crossover pushed out to
-#: real-SNAP-sized graphs.
-MASKED_SWEEP_THRESHOLD = 32768
 
-
-def _scalar_bfs_paths(
+def _restricted_bfs_paths(
     kernel: QueryKernel,
     source: int,
     targets: set[int],
     threshold: int,
     cutoff: float,
 ) -> dict[int, list[int]]:
-    """The small-snapshot strategy: a scalar queue BFS over the sorted lists."""
+    """BFS from ``source`` over edges with trussness >= ``threshold``.
+
+    Returns an id path for every target reached within ``cutoff`` hops.
+    Neighbour order is the sorted-adjacency order (decreasing trussness,
+    ``repr``-rank ties), so witness paths match the dict path's exactly.
+    Each search touches only the nodes it reaches, so its cost follows the
+    witness neighbourhood, not the snapshot's size.
+    """
     bounds, neighbors, _edges, neg_tau = kernel.sorted_adjacency
     parents: dict[int, int] = {source: -1}
     depth: dict[int, int] = {source: 0}
@@ -81,51 +76,6 @@ def _scalar_bfs_paths(
                 path.reverse()
                 found[neighbor] = path
             queue.append(neighbor)
-    return found
-
-
-def _restricted_bfs_paths(
-    kernel: QueryKernel,
-    source: int,
-    targets: set[int],
-    threshold: int,
-    cutoff: float,
-) -> dict[int, list[int]]:
-    """BFS from ``source`` over edges with trussness >= ``threshold``.
-
-    Returns an id path for every target reached within ``cutoff`` hops.
-    Neighbour order is the sorted-adjacency order (decreasing trussness,
-    ``repr``-rank ties), so witness paths match the dict path's exactly.
-    At or above :data:`MASKED_SWEEP_THRESHOLD` edges this runs as an
-    *ordered* masked frontier BFS (:mod:`repro.graph.csr_bfs`) over the
-    trussness-sorted rows, restricted to each row's qualifying prefix
-    (``QueryKernel.sorted_row_stops``): the first-discovery frontier order
-    reproduces the scalar queue BFS's parent tie-breaks, so the parents
-    array recovers witness paths bit-identical to the scalar (and hence
-    dict) path's.
-    """
-    if kernel.csr.number_of_edges() < MASKED_SWEEP_THRESHOLD:
-        return _scalar_bfs_paths(kernel, source, targets, threshold, cutoff)
-    bounds, neighbors, _edges, _neg_tau = kernel.sorted_arrays
-    found: dict[int, list[int]] = {}
-    if source in targets:
-        found[source] = [source]
-    remaining = [node for node in targets if node != source]
-    if not remaining or cutoff < 1:
-        return found
-    result = masked_bfs(
-        bounds,
-        neighbors,
-        [source],
-        row_stop=kernel.sorted_row_stops(threshold),
-        track_parents=True,
-        ordered=True,
-        max_depth=None if math.isinf(cutoff) else int(cutoff),
-        until_reached=remaining,
-    )
-    for target in remaining:
-        if result.distances[target] >= 0:
-            found[target] = path_from_parents(result.parents, target)
     return found
 
 

@@ -103,6 +103,7 @@ from __future__ import annotations
 import atexit
 import asyncio
 import itertools
+import numbers
 import os
 import pickle
 import signal
@@ -312,7 +313,7 @@ def _resolve_deadlines(
     if timeout is None:
         return [None] * count, [None] * count
     now = time.monotonic()
-    if isinstance(timeout, (int, float)):
+    if isinstance(timeout, numbers.Real):
         budget = float(timeout)
         if budget <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -1369,7 +1370,6 @@ class ServingEngine:
         nodes = list(dict.fromkeys(query))
         if not nodes:
             raise QueryError("the query node set must not be empty")
-        shards = set()
         missing = [node for node in nodes if node not in self._node_shard]
         if missing:
             raise QueryError(f"query nodes not present in the graph: {missing!r}")

@@ -88,8 +88,8 @@ class SlidingWindowEngine(CTCEngine):
     >>> engine = SlidingWindowEngine(window=2)
     >>> for edge in [(0, 1), (1, 2), (2, 0)]:
     ...     engine.add_edge(*edge)
-    >>> sorted(engine.graph.edges())  # (0, 1) expired
-    [(1, 2), (2, 0)]
+    >>> sorted(engine.graph.edges())  # (0, 1) expired; keys are canonical
+    [(0, 2), (1, 2)]
     """
 
     def __init__(

@@ -56,10 +56,6 @@ class NoCommunityFoundError(ReproError):
     """
 
 
-class IndexNotBuiltError(ReproError):
-    """A truss-index-dependent operation was invoked before building the index."""
-
-
 class StaleMaintainerError(ReproError):
     """An engine-bound k-truss maintainer was used after the store moved on.
 

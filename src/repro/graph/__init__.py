@@ -22,13 +22,10 @@ from repro.graph.properties import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.csr_bfs import (
-    BFSResult,
     csr_diameter,
     fold_query_distance,
     masked_bfs,
-    masked_eccentricity,
     masked_query_distances,
-    path_from_parents,
 )
 from repro.graph.csr_triangles import (
     TriangleIncidence,
@@ -62,13 +59,10 @@ from repro.graph.views import DeletionView, filter_edges_by, induced_subgraph
 __all__ = [
     "UndirectedGraph",
     "CSRGraph",
-    "BFSResult",
     "masked_bfs",
     "masked_query_distances",
-    "masked_eccentricity",
     "csr_diameter",
     "fold_query_distance",
-    "path_from_parents",
     "TriangleIncidence",
     "csr_triangle_incidence",
     "csr_triangle_supports",

@@ -19,7 +19,6 @@ Every generator is deterministic given a seed and returns plain
 from __future__ import annotations
 
 import random
-from collections.abc import Hashable, Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.graph.simple_graph import UndirectedGraph
@@ -295,34 +294,3 @@ def connect_components(graph: UndirectedGraph, rng: random.Random | None = None)
         graph.add_edge(source, target)
         added += 1
     return added
-
-
-def union_of_graphs(graphs: Sequence[UndirectedGraph]) -> UndirectedGraph:
-    """Return the union (node- and edge-wise) of the given graphs."""
-    merged = UndirectedGraph()
-    for graph in graphs:
-        merged.add_nodes_from(graph.nodes())
-        merged.add_edges_from(graph.edges())
-    return merged
-
-
-def relabel_graph(
-    graph: UndirectedGraph, mapping: dict[Hashable, Hashable]
-) -> UndirectedGraph:
-    """Return a copy of ``graph`` with nodes renamed through ``mapping``.
-
-    Nodes absent from ``mapping`` keep their labels.
-    """
-    renamed = UndirectedGraph()
-    for node in graph.nodes():
-        renamed.add_node(mapping.get(node, node))
-    for u, v in graph.edges():
-        renamed.add_edge(mapping.get(u, u), mapping.get(v, v))
-    return renamed
-
-
-def induced_community_subgraphs(
-    graph: UndirectedGraph, communities: Iterable[set[Hashable]]
-) -> list[UndirectedGraph]:
-    """Return the induced subgraph of each ground-truth community."""
-    return [graph.subgraph(community) for community in communities]

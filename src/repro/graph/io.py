@@ -9,7 +9,7 @@ unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from pathlib import Path
 
 from repro.exceptions import GraphError
@@ -109,13 +109,3 @@ def read_communities(
         if members:
             communities.append(members)
     return communities
-
-
-def adjacency_dict(graph: UndirectedGraph) -> dict[Hashable, list[Hashable]]:
-    """Return a plain ``dict`` adjacency representation (sorted neighbour lists)."""
-    return {node: sorted(graph.neighbors(node), key=repr) for node in graph.nodes()}
-
-
-def edges_sorted(graph: UndirectedGraph) -> Sequence[tuple[Hashable, Hashable]]:
-    """Return all edges sorted by their repr, for deterministic output."""
-    return sorted(graph.edges(), key=repr)

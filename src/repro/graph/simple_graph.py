@@ -61,11 +61,6 @@ class UndirectedGraph:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[Hashable, Hashable]]) -> "UndirectedGraph":
-        """Build a graph from an iterable of ``(u, v)`` pairs."""
-        return cls(edges)
-
-    @classmethod
     def from_adjacency(cls, adjacency: Mapping[Hashable, Iterable[Hashable]]) -> "UndirectedGraph":
         """Build a graph from a node -> neighbours mapping.
 

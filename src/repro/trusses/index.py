@@ -106,10 +106,6 @@ class TrussIndex:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
-    def all_vertex_trussness(self) -> dict[Hashable, int]:
-        """Return a copy of the vertex trussness map."""
-        return dict(self._vertex_trussness)
-
     def max_trussness(self) -> int:
         """Return ``tau_bar(empty set)``, the maximum edge trussness (2 if no edges)."""
         if not self._edge_trussness:

@@ -340,34 +340,6 @@ class TestPeelEngineEquivalence:
         )[:limit]
         assert set(picked.tolist()) == set(expected)
 
-    def test_masked_steiner_sweep_matches_scalar(self, monkeypatch):
-        """MASKED_SWEEP_THRESHOLD floored: the ordered masked witness-path
-        BFS must recover the exact paths (and hence trees) of the scalar
-        queue — and the whole LCTC pipeline must still match the dict path."""
-        import repro.ctc.kernels.steiner as steiner_mod
-
-        for seed in range(8):
-            graph = relaxed_caveman_graph(3, 7, 0.3, seed=seed)
-            kernel = CTCEngine(graph).snapshot().kernel
-            index = TrussIndex(graph)
-            for query in ([0, 1], [2, 9, 14], [5]):
-                query_ids = [kernel.csr.node_id(node) for node in query]
-                trees = {}
-                for name, threshold in (("scalar", 10**9), ("masked", 0)):
-                    monkeypatch.setattr(
-                        steiner_mod, "MASKED_SWEEP_THRESHOLD", threshold
-                    )
-                    trees[name] = steiner_mod.build_truss_steiner_tree(
-                        kernel, query_ids, gamma=0.3
-                    )
-                assert trees["masked"] == trees["scalar"], (seed, query)
-                # End-to-end: forced-masked LCTC == dict-path LCTC.
-                monkeypatch.setattr(steiner_mod, "MASKED_SWEEP_THRESHOLD", 0)
-                snapshot = CTCEngine(graph).snapshot()
-                assert outcome(snapshot, query, "lctc", eta=10) == outcome(
-                    index, query, "lctc", eta=10
-                ), (seed, query)
-
     def test_lctc_incidence_reuse_matches_all_paths(self, monkeypatch):
         """LCTC re-decomposing its expansion on the snapshot's triangle
         incidence (instead of enumerating the subgraph afresh) changes

@@ -30,12 +30,13 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from repro.datasets.queries import EdgeChurn
 from repro.engine import CTCEngine, FaultPlan, ServingEngine
 from repro.exceptions import ConfigurationError, QueryTimeoutError, ShardUnavailableError
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.simple_graph import UndirectedGraph
 
 QUERY = [0, 1]
@@ -263,6 +264,12 @@ class TestDeadlines:
         (bulk_method, bulk_budget), (lctc_method, lctc_budget) = seen
         assert bulk_method == "bulk-delete" and 0 < bulk_budget <= 30
         assert lctc_method == "lctc" and lctc_budget is None
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_numpy_scalar_timeout_applies_to_every_query(self, dtype):
+        with ServingEngine(complete_graph(5)) as serving:
+            (result,) = serving.query_batch([[0, 1]], timeout=dtype(30))
+        assert result.nodes == set(range(5))
 
     def test_timeout_validation(self):
         graph = erdos_renyi_graph(20, 0.3, seed=2)

@@ -1,10 +1,8 @@
 """Unit and property tests for the masked frontier BFS (:mod:`repro.graph.csr_bfs`).
 
-The contract under test: for any restriction (edge mask, node mask, row
-prefix), the frontier BFS computes exactly the distances a scalar queue BFS
-would, ``-1`` marking unreachable; parents arrays recover valid shortest
-paths; and in ordered mode the parents reproduce the scalar queue's
-first-discovery tie-breaks exactly.
+The contract under test: under any edge mask, the frontier BFS computes
+exactly the distances a scalar queue BFS would, ``-1`` marking unreachable,
+and an ``until_reached`` stop never records a wrong distance.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.csr import CSRGraph
@@ -20,13 +17,11 @@ from repro.graph.csr_bfs import (
     csr_diameter,
     fold_query_distance,
     masked_bfs,
-    masked_eccentricity,
     masked_query_distances,
-    path_from_parents,
 )
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.simple_graph import UndirectedGraph
-from repro.graph.traversal import diameter, eccentricity, query_distances
+from repro.graph.traversal import diameter, query_distances
 
 common_settings = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -35,7 +30,7 @@ common_settings = settings(
 _INF = float("inf")
 
 
-def _reference_distances(csr: CSRGraph, sources, edge_alive=None, node_alive=None):
+def _reference_distances(csr: CSRGraph, sources, edge_alive=None):
     """Scalar queue BFS over the same restriction (the spec)."""
     dist = np.full(csr.number_of_nodes(), -1, dtype=np.int64)
     queue = deque()
@@ -49,8 +44,6 @@ def _reference_distances(csr: CSRGraph, sources, edge_alive=None, node_alive=Non
             if edge_alive is not None and not edge_alive[slot_edge[slot]]:
                 continue
             other = int(indices[slot])
-            if node_alive is not None and not node_alive[other]:
-                continue
             if dist[other] < 0:
                 dist[other] = dist[node] + 1
                 queue.append(other)
@@ -61,50 +54,31 @@ def _graph(seed: int, nodes: int = 18, p: float = 0.3) -> CSRGraph:
     return CSRGraph.from_graph(erdos_renyi_graph(nodes, p, seed=seed))
 
 
+def _draw_edge_mask(data, csr: CSRGraph) -> np.ndarray:
+    size = csr.number_of_edges()
+    return np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool
+    )
+
+
 class TestMaskedBFS:
     @common_settings
     @given(seed=st.integers(0, 300), source=st.integers(0, 17))
     def test_unmasked_matches_scalar_bfs(self, seed, source):
         csr = _graph(seed)
-        result = masked_bfs(csr.indptr, csr.indices, [source])
-        assert np.array_equal(result.distances, _reference_distances(csr, [source]))
+        assert np.array_equal(
+            masked_bfs(csr, [source]), _reference_distances(csr, [source])
+        )
 
     @common_settings
     @given(seed=st.integers(0, 300), data=st.data())
     def test_edge_mask_matches_scalar_bfs(self, seed, data):
         csr = _graph(seed)
-        alive = np.asarray(
-            data.draw(
-                st.lists(
-                    st.booleans(),
-                    min_size=csr.number_of_edges(),
-                    max_size=csr.number_of_edges(),
-                )
-            ),
-            dtype=bool,
-        )
+        alive = _draw_edge_mask(data, csr)
         source = data.draw(st.integers(0, csr.number_of_nodes() - 1))
-        result = masked_bfs(
-            csr.indptr, csr.indices, [source], slot_edge=csr.slot_edge, edge_alive=alive
-        )
         assert np.array_equal(
-            result.distances, _reference_distances(csr, [source], edge_alive=alive)
-        )
-
-    @common_settings
-    @given(seed=st.integers(0, 300), data=st.data())
-    def test_node_mask_matches_scalar_bfs(self, seed, data):
-        csr = _graph(seed)
-        num_nodes = csr.number_of_nodes()
-        alive = np.asarray(
-            data.draw(st.lists(st.booleans(), min_size=num_nodes, max_size=num_nodes)),
-            dtype=bool,
-        )
-        source = data.draw(st.integers(0, num_nodes - 1))
-        alive[source] = True
-        result = masked_bfs(csr.indptr, csr.indices, [source], node_alive=alive)
-        assert np.array_equal(
-            result.distances, _reference_distances(csr, [source], node_alive=alive)
+            masked_bfs(csr, [source], edge_alive=alive),
+            _reference_distances(csr, [source], edge_alive=alive),
         )
 
     @common_settings
@@ -119,109 +93,56 @@ class TestMaskedBFS:
                 unique=True,
             )
         )
-        merged = masked_bfs(csr.indptr, csr.indices, sources).distances
-        singles = [
-            masked_bfs(csr.indptr, csr.indices, [source]).distances
-            for source in sources
-        ]
+        merged = masked_bfs(csr, sources)
+        singles = [masked_bfs(csr, [source]) for source in sources]
         for node in range(csr.number_of_nodes()):
             reachable = [d[node] for d in singles if d[node] >= 0]
             expected = min(reachable) if reachable else -1
             assert merged[node] == expected
-
-    @common_settings
-    @given(seed=st.integers(0, 300), source=st.integers(0, 17))
-    def test_parents_paths_are_valid_shortest_paths(self, seed, source):
-        csr = _graph(seed)
-        result = masked_bfs(csr.indptr, csr.indices, [source], track_parents=True)
-        assert result.parents[source] == -1
-        for node in range(csr.number_of_nodes()):
-            if result.distances[node] < 0 or node == source:
-                continue
-            path = path_from_parents(result.parents, node)
-            assert path[0] == source and path[-1] == node
-            assert len(path) - 1 == result.distances[node]
-            for a, b in zip(path, path[1:]):
-                assert csr.has_edge(a, b)
 
     def test_unreachable_and_isolated_vertices(self):
         graph = UndirectedGraph()
         graph.add_edge("a", "b")
         graph.add_node("c")  # isolated
         csr = CSRGraph.from_graph(graph)
-        result = masked_bfs(csr.indptr, csr.indices, [csr.node_id("a")])
-        assert result.distances[csr.node_id("b")] == 1
-        assert result.distances[csr.node_id("c")] == -1
+        distances = masked_bfs(csr, [csr.node_id("a")])
+        assert distances[csr.node_id("b")] == 1
+        assert distances[csr.node_id("c")] == -1
 
     def test_empty_and_singleton_graphs(self):
         empty = CSRGraph.from_graph(UndirectedGraph())
-        assert masked_bfs(empty.indptr, empty.indices, []).distances.size == 0
+        assert masked_bfs(empty, []).size == 0
         assert csr_diameter(empty) == 0.0
         single = UndirectedGraph()
         single.add_node("only")
         csr = CSRGraph.from_graph(single)
-        result = masked_bfs(csr.indptr, csr.indices, [0], track_parents=True)
-        assert result.distances.tolist() == [0]
-        assert result.parents.tolist() == [-1]
+        assert masked_bfs(csr, [0]).tolist() == [0]
         assert csr_diameter(csr) == 0.0
-        assert masked_eccentricity(csr, 0) == 0.0
 
     def test_no_sources_means_all_unreachable(self):
         csr = _graph(7)
-        result = masked_bfs(csr.indptr, csr.indices, [])
-        assert (result.distances == -1).all()
-
-    def test_max_depth_truncates(self):
-        csr = _graph(11)
-        full = masked_bfs(csr.indptr, csr.indices, [0]).distances
-        capped = masked_bfs(csr.indptr, csr.indices, [0], max_depth=1).distances
-        for node in range(csr.number_of_nodes()):
-            if full[node] >= 0 and full[node] <= 1:
-                assert capped[node] == full[node]
-            else:
-                assert capped[node] == -1
-
-    def test_until_reached_stops_early_with_final_targets(self):
-        csr = _graph(13)
-        reference = masked_bfs(csr.indptr, csr.indices, [0]).distances
-        reachable = [n for n in range(csr.number_of_nodes()) if reference[n] == 1]
-        result = masked_bfs(csr.indptr, csr.indices, [0], until_reached=reachable[:1])
-        assert result.distances[reachable[0]] == 1
-        # Distances it did record are never wrong, just possibly absent.
-        recorded = result.distances >= 0
-        assert np.array_equal(result.distances[recorded], reference[recorded])
-
-    def test_edge_alive_without_slot_edge_rejected(self):
-        csr = _graph(3)
-        with pytest.raises(ValueError):
-            masked_bfs(
-                csr.indptr,
-                csr.indices,
-                [0],
-                edge_alive=np.ones(csr.number_of_edges(), dtype=bool),
-            )
+        assert (masked_bfs(csr, []) == -1).all()
 
     @common_settings
-    @given(seed=st.integers(0, 300), source=st.integers(0, 17))
-    def test_ordered_parents_match_scalar_queue_bfs(self, seed, source):
-        """Ordered mode's parents must equal the scalar queue's exactly."""
+    @given(seed=st.integers(0, 300), data=st.data())
+    def test_until_reached_stops_early_with_final_targets(self, seed, data):
+        """Targets (reachable or not) end with their full-BFS distances, and
+        every distance the early-stopped run records is final."""
         csr = _graph(seed)
-        parents = np.full(csr.number_of_nodes(), -1, dtype=np.int64)
-        dist = np.full(csr.number_of_nodes(), -1, dtype=np.int64)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for other in csr.neighbor_ids(node).tolist():
-                if dist[other] < 0:
-                    dist[other] = dist[node] + 1
-                    parents[other] = node
-                    queue.append(other)
-        result = masked_bfs(
-            csr.indptr, csr.indices, [source], track_parents=True, ordered=True
+        num_nodes = csr.number_of_nodes()
+        alive = _draw_edge_mask(data, csr)
+        source = data.draw(st.integers(0, num_nodes - 1))
+        targets = data.draw(
+            st.lists(st.integers(0, num_nodes - 1), min_size=1, max_size=3)
         )
-        assert np.array_equal(result.distances, dist)
-        assert np.array_equal(result.parents, parents)
+        full = masked_bfs(csr, [source], edge_alive=alive)
+        stopped = masked_bfs(csr, [source], edge_alive=alive, until_reached=targets)
+        assert np.array_equal(stopped[targets], full[targets])
+        recorded = stopped >= 0
+        assert np.array_equal(stopped[recorded], full[recorded])
+        if bool((full[targets] >= 0).all()):
+            # Stopped at the end of the round reaching the farthest target.
+            assert stopped.max() == full[targets].max()
 
 
 class TestReductions:
@@ -244,10 +165,6 @@ class TestReductions:
         graph = erdos_renyi_graph(15, 0.3, seed=seed)
         csr = CSRGraph.from_graph(graph)
         assert csr_diameter(csr) == diameter(graph)
-        for label in list(graph.nodes())[:4]:
-            assert masked_eccentricity(csr, csr.node_id(label)) == eccentricity(
-                graph, label
-            )
 
     def test_diameter_fast_path_dispatches_on_csr_input(self):
         graph = erdos_renyi_graph(30, 0.2, seed=5)
