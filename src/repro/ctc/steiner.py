@@ -56,7 +56,6 @@ def _restricted_bfs_paths(
 
     Returns a path for every target reached within ``cutoff`` hops.
     """
-    graph = index.graph
     parents: dict[Hashable, Hashable | None] = {source: None}
     depth: dict[Hashable, int] = {source: 0}
     remaining = set(targets)

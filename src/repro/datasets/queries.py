@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from typing import Protocol
 
 from repro.datasets.synthetic import SyntheticNetwork

@@ -70,11 +70,6 @@ Caching / invalidation contract
   against an unchanging graph builds exactly one snapshot, and an
   alternating read/write workload can still hit older cached versions while
   a handle to them is useful.
-* Mutations routed through a :class:`KTrussMaintainer` obtained from
-  :meth:`CTCEngine.maintainer` enter the pipeline through the maintainer's
-  mutation hooks, which deliver the cascade's ``GraphDelta``; hook dispatch
-  is exception-safe, so the version bump and log append happen even if
-  another hook raises mid-batch.
 * A snapshot, once built, is immutable: it holds its own frozen arrays
   (and a private dict-form graph, thawed from them on demand), so
   in-flight results never see later mutations.
@@ -123,7 +118,6 @@ from repro.engine.persistence import (
 from repro.exceptions import (
     ConfigurationError,
     QueryTimeoutError,
-    StaleMaintainerError,
     VersionEvictedError,
     WalCorruptionError,
 )
@@ -133,7 +127,6 @@ from repro.graph.delta import GraphDelta
 from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.csr_decomposition import csr_decompose, csr_edge_supports
 from repro.trusses.incremental import incremental_truss_update
-from repro.trusses.maintenance import KTrussMaintainer
 
 if TYPE_CHECKING:
     from repro.ctc.kernels import QueryKernel
@@ -506,8 +499,9 @@ class CTCEngine:
         #: version -> delta that produced it (contiguous, bounded window).
         self._delta_log: OrderedDict[int, GraphDelta] = OrderedDict()
         #: Guards every bookkeeping step (version/log/cache/stats/pins);
-        #: re-entrant so mutations may nest (maintainer cascades, window
-        #: expiry inside add_edge).  Heavy builds run outside it.
+        #: re-entrant so work may nest inside a mutation (window expiry
+        #: inside add_edge, an auto-checkpoint inside _record).  Heavy
+        #: builds run outside it.
         self._mutex = threading.RLock()
         #: version -> outstanding lease count (epoch pins).
         self._pins: dict[int, int] = {}
@@ -609,9 +603,9 @@ class CTCEngine:
     def graph(self) -> UndirectedGraph:
         """The live mutable store.
 
-        Mutate it only through the engine's mutation methods (or a
-        :meth:`maintainer`); direct mutation bypasses version tracking and
-        leaves stale snapshots in the cache.
+        Mutate it only through the engine's mutation methods; direct
+        mutation bypasses version tracking and leaves stale snapshots in
+        the cache.
         """
         self._ensure_store()
         return self._graph
@@ -639,12 +633,21 @@ class CTCEngine:
         acknowledges a version whose delta is not on disk), and the
         checkpoint policy runs after — still under the re-entrant mutex,
         so the auto-checkpoint's snapshot build is ordinary re-entry.
+
+        Every caller has already applied ``delta`` to the store.  If the
+        WAL append raises, the store is rolled back with the inverted
+        delta and the error propagates: the version, the delta log and the
+        WAL never see the mutation, and neither does the store.
         """
         if delta.is_empty():
             return
         with self._mutex:
             if self._durability is not None:
-                self._durability.append(self._version + 1, delta)
+                try:
+                    self._durability.append(self._version + 1, delta)
+                except BaseException:
+                    _apply_delta_to_graph(self._graph, delta.inverted())
+                    raise
             self._version += 1
             self.stats.invalidations += 1
             if self._delta_log_limit:
@@ -730,35 +733,6 @@ class CTCEngine:
                     removed_edges=[(node, other) for other in neighbors],
                 )
             )
-
-    # ------------------------------------------------------------------
-    # maintenance integration (Algorithm 3 hooks)
-    # ------------------------------------------------------------------
-    def maintainer(self, k: int) -> KTrussMaintainer:
-        """Return a :class:`KTrussMaintainer` bound **in place** to the store.
-
-        Deletion cascades run through the returned maintainer mutate the
-        store directly and feed the engine's delta log via the maintainer's
-        mutation hooks — this is the supported way to apply Algorithm 3
-        deletions to an engine-owned graph.
-
-        The maintainer's edge-support table is computed at creation time,
-        so it is only valid while it is the sole mutation channel: if the
-        store is mutated through anything else afterwards (``add_edge``,
-        ``remove_node``, another maintainer, ...), further cascades raise
-        :class:`~repro.exceptions.StaleMaintainerError` — obtain a fresh
-        maintainer instead.
-        """
-        return _EngineMaintainer(self, k)
-
-    def delete_vertices(self, vertices: Iterable[Hashable], k: int) -> tuple[set, set]:
-        """Delete ``vertices`` from the store, restoring the k-truss property.
-
-        Convenience wrapper over :meth:`maintainer`; returns the
-        ``(removed_vertices, removed_edges)`` pair of
-        :meth:`KTrussMaintainer.delete_vertices`.
-        """
-        return self.maintainer(k).delete_vertices(vertices)
 
     # ------------------------------------------------------------------
     # durability (WAL + checkpoints; see repro.engine.persistence)
@@ -1371,36 +1345,3 @@ class CTCEngine:
             f"edges={store.number_of_edges()}, "
             f"cached={len(self._cache)}/{self._cache_size})"
         )
-
-
-class _EngineMaintainer(KTrussMaintainer):
-    """A :class:`KTrussMaintainer` bound to an engine's live store.
-
-    Adds two behaviours over the base class: every effective cascade feeds
-    its :class:`GraphDelta` into the engine's log (version bump + cache
-    invalidation), and cascades refuse to run if the store was mutated
-    through any other channel since this maintainer was created (its
-    support table would be stale — see
-    :class:`~repro.exceptions.StaleMaintainerError`).
-    """
-
-    def __init__(self, engine: CTCEngine, k: int) -> None:
-        super().__init__(engine.graph, k, copy_graph=False)
-        self._engine = engine
-        self._expected_version = engine.version
-        self.register_mutation_hook(self._on_cascade)
-
-    def _on_cascade(self, delta: GraphDelta) -> None:
-        self._engine._record(delta)
-        self._expected_version = self._engine.version
-
-    def delete_vertices(self, vertices: Iterable[Hashable]) -> tuple[set, set]:
-        with self._engine._mutex:
-            if self._engine.version != self._expected_version:
-                raise StaleMaintainerError(
-                    f"the engine's store moved from version {self._expected_version} "
-                    f"to {self._engine.version} since this maintainer was created; "
-                    "its support table is stale — obtain a fresh maintainer via "
-                    "CTCEngine.maintainer()"
-                )
-            return super().delete_vertices(vertices)

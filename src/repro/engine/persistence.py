@@ -138,8 +138,8 @@ class DurabilityConfig:
     verify_checkpoints:
         Re-hash every array file against the manifest when loading a
         checkpoint.  Costs a full sequential read (defeating the memmap
-        cold-start), so it is off by default and turned on by tests and
-        ``--recover`` diagnostics.
+        cold-start), so it is off by default; set it for diagnostics.  The
+        CLI's ``--recover`` leaves it off.
     """
 
     path: str

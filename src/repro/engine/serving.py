@@ -505,6 +505,10 @@ class ServingEngine:
     **engine_kwargs:
         Forwarded to every internally created :class:`CTCEngine`
         (``cache_size``, ``delta_threshold``, ``delta_log_limit``).
+        ``durability`` raises :class:`~repro.exceptions.ConfigurationError`
+        in both modes, before anything touches disk.  Durable serving has
+        two forms: a durable :class:`CTCEngine` that the caller owns and
+        closes, or a data directory that the front-end recovers and closes.
 
     Examples
     --------
@@ -537,6 +541,12 @@ class ServingEngine:
             raise ConfigurationError(
                 "a fault_plan requires mode='process': its faults address "
                 "shard worker dispatches, and thread mode has no workers"
+            )
+        if "durability" in engine_kwargs:
+            raise ConfigurationError(
+                "durability is not a ServingEngine engine keyword: serve a "
+                "durable CTCEngine you own and close, or a data directory "
+                "the front-end recovers and closes"
             )
         if mode == "process" and (
             isinstance(source, (str, os.PathLike))

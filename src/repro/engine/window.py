@@ -34,10 +34,7 @@ recently inserted ones.  Precisely:
   exception: they are caller-owned and never expired.
 
 Explicit :meth:`remove_edge` / :meth:`remove_node` calls simply evict the
-affected edges from the window early.  Algorithm-3 maintainer cascades are
-refused (:class:`~repro.exceptions.ConfigurationError`): they would remove
-edges behind the window bookkeeping's back, and the windowed engine already
-maintains trussness on every expiry.
+affected edges from the window early.
 
 Because the windowed engine *is* a :class:`CTCEngine`, everything else —
 snapshot caching, the delta log, time-travel reads via
@@ -60,10 +57,8 @@ from collections import deque
 from collections.abc import Hashable, Iterable
 
 from repro.engine.core import CTCEngine
-from repro.exceptions import ConfigurationError
 from repro.graph.keys import EdgeKey, edge_key
 from repro.graph.simple_graph import UndirectedGraph
-from repro.trusses.maintenance import KTrussMaintainer
 
 __all__ = ["SlidingWindowEngine"]
 
@@ -203,14 +198,6 @@ class SlidingWindowEngine(CTCEngine):
         for key in sorted(self._graph.edges(), key=repr):
             self._stamp(key)
         self._expire()
-
-    def maintainer(self, k: int) -> KTrussMaintainer:
-        """Unsupported: cascades would bypass the window's edge bookkeeping."""
-        raise ConfigurationError(
-            "SlidingWindowEngine does not support Algorithm-3 maintainers: "
-            "cascade deletions would remove edges behind the window's "
-            "bookkeeping; mutate through add_edge/remove_edge instead"
-        )
 
     def __repr__(self) -> str:
         return (

@@ -56,17 +56,6 @@ class NoCommunityFoundError(ReproError):
     """
 
 
-class StaleMaintainerError(ReproError):
-    """An engine-bound k-truss maintainer was used after the store moved on.
-
-    A :class:`~repro.trusses.maintenance.KTrussMaintainer` obtained from
-    :meth:`~repro.engine.CTCEngine.maintainer` computes its edge-support
-    table at creation time; if the engine's store is mutated through any
-    other channel afterwards, that table is stale and further cascades
-    would corrupt the graph.  Obtain a fresh maintainer instead.
-    """
-
-
 class VersionEvictedError(ReproError):
     """A time-travel read asked for a version the delta log no longer retains.
 

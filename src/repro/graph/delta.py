@@ -19,8 +19,7 @@ A delta is **normalized against the graph it departs from**:
 * every endpoint of an added edge is either a surviving base node or listed
   in ``added_nodes``.
 
-Producers (the :class:`~repro.engine.CTCEngine` mutation methods and the
-:class:`~repro.trusses.maintenance.KTrussMaintainer` mutation hooks) emit
+Producers (the :class:`~repro.engine.CTCEngine` mutation methods) emit
 normalized deltas; :meth:`GraphDelta.then` composes consecutive normalized
 deltas into one normalized delta, cancelling add/remove pairs, so a bounded
 log of per-mutation deltas can be collapsed before a single ``apply_delta``

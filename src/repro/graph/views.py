@@ -9,7 +9,7 @@ read-side API as :class:`UndirectedGraph` (neighbours, degree, membership,
 edges) without copying.
 
 :func:`induced_subgraph` and :func:`filter_edges_by` are convenience wrappers
-used by the LCTC expansion and the experiment harness.
+for callers of the package; no algorithm in it uses them.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from repro.trusses.kcore import (
     k_core_subgraph,
     minimum_degree,
 )
-from repro.trusses.maintenance import KTrussMaintainer, restore_k_truss
+from repro.trusses.maintenance import KTrussMaintainer
 
 __all__ = [
     "truss_decomposition",
@@ -55,7 +55,6 @@ __all__ = [
     "find_connected_truss_at_k",
     "validate_query",
     "KTrussMaintainer",
-    "restore_k_truss",
     "core_decomposition",
     "k_core_subgraph",
     "degeneracy_core",

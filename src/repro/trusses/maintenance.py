@@ -15,20 +15,6 @@ scratch each iteration (this is what makes Algorithms 1 and 4 practical;
 see Section 4.2 "Maintenance of k-truss" and the complexity discussion in
 Section 4.4).
 
-Mutation hooks
---------------
-Interested parties can observe every completed deletion cascade via
-:meth:`KTrussMaintainer.register_mutation_hook`.  Hooks receive a
-structured :class:`~repro.graph.delta.GraphDelta` describing exactly which
-vertices and edges the cascade removed; this is how
-:class:`~repro.engine.CTCEngine` feeds maintainer-driven mutations into its
-delta log when the maintainer operates directly on the engine's live store
-(``copy_graph=False``).  Hook dispatch is atomic with respect to hook
-failures: every registered hook runs even if an earlier one raises (the
-first exception is re-raised afterwards), so an observer that bumps a
-version or appends to a log can never miss a cascade because another hook
-blew up first.
-
 The ``_support`` table is keyed by :func:`repro.graph.keys.edge_key`; that
 module documents the key contract.
 """
@@ -36,18 +22,13 @@ module documents the key contract.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
-from repro.graph.delta import GraphDelta
 from repro.graph.keys import EdgeKey, edge_key
 from repro.graph.simple_graph import UndirectedGraph
 from repro.graph.triangles import all_edge_supports
 
-__all__ = ["KTrussMaintainer", "restore_k_truss"]
-
-#: Signature of a mutation hook: called after each completed deletion
-#: cascade with the :class:`GraphDelta` describing what was removed.
-MutationHook = Callable[[GraphDelta], None]
+__all__ = ["KTrussMaintainer"]
 
 
 class KTrussMaintainer:
@@ -56,23 +37,18 @@ class KTrussMaintainer:
     Parameters
     ----------
     graph:
-        The starting k-truss (typically ``G0`` from FindG0).  By default a
-        private copy is made and the caller's graph is never mutated.
+        The starting k-truss (typically ``G0`` from FindG0).  The
+        maintainer works on a private copy; the caller's graph is never
+        mutated.
     k:
         The trussness level to maintain: after every deletion batch, each
         surviving edge has support >= ``k - 2`` within the surviving graph.
-    copy_graph:
-        When ``False`` the maintainer operates **in place** on the caller's
-        graph instead of a private copy.  :class:`~repro.engine.CTCEngine`
-        uses this to route mutations through the maintainer while keeping a
-        single authoritative store.
     """
 
-    def __init__(self, graph: UndirectedGraph, k: int, *, copy_graph: bool = True) -> None:
-        self._graph = graph.copy() if copy_graph else graph
+    def __init__(self, graph: UndirectedGraph, k: int) -> None:
+        self._graph = graph.copy()
         self._k = k
         self._support: dict[EdgeKey, int] = all_edge_supports(self._graph)
-        self._hooks: list[MutationHook] = []
 
     # ------------------------------------------------------------------
     @property
@@ -92,34 +68,6 @@ class KTrussMaintainer:
     def snapshot(self) -> UndirectedGraph:
         """Return an immutable copy of the current working graph."""
         return self._graph.copy()
-
-    def register_mutation_hook(self, hook: MutationHook) -> None:
-        """Register ``hook`` to run after every deletion cascade that removed something.
-
-        Hooks receive the cascade's :class:`GraphDelta`; cascades that
-        remove nothing (e.g. deleting vertices that are already gone) do not
-        fire them.  All hooks run even if one raises (see the module
-        docstring).
-        """
-        self._hooks.append(hook)
-
-    def _dispatch(self, delta: GraphDelta) -> None:
-        """Run every hook on ``delta``; defer (and re-raise) the first failure.
-
-        The store mutation has already happened by the time hooks fire, so a
-        hook raising mid-batch must not prevent the remaining hooks from
-        observing the cascade — otherwise an engine hook could miss the
-        version bump and keep serving a half-applied graph from its cache.
-        """
-        failure: BaseException | None = None
-        for hook in self._hooks:
-            try:
-                hook(delta)
-            except BaseException as exc:  # noqa: BLE001 - deferred, not swallowed
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
 
     # ------------------------------------------------------------------
     def delete_vertices(self, vertices: Iterable[Hashable]) -> tuple[set[Hashable], set[EdgeKey]]:
@@ -172,10 +120,6 @@ class KTrussMaintainer:
             if self._graph.degree(vertex) == 0:
                 self._graph.remove_node(vertex)
                 removed_vertices.add(vertex)
-        if removed_vertices or removed_edges:
-            self._dispatch(
-                GraphDelta(removed_nodes=removed_vertices, removed_edges=removed_edges)
-            )
         return removed_vertices, removed_edges
 
     def delete_vertex(self, vertex: Hashable) -> tuple[set[Hashable], set[EdgeKey]]:
@@ -197,43 +141,3 @@ class KTrussMaintainer:
             f"KTrussMaintainer(k={self._k}, nodes={self._graph.number_of_nodes()}, "
             f"edges={self._graph.number_of_edges()})"
         )
-
-
-def restore_k_truss(graph: UndirectedGraph, k: int) -> UndirectedGraph:
-    """Return the maximal subgraph of ``graph`` in which every edge has support >= k - 2.
-
-    A convenience wrapper over :class:`KTrussMaintainer` for one-shot use:
-    it deletes nothing explicitly but runs the cascade over every initially
-    under-supported edge, which yields exactly the maximal k-truss of the
-    input (possibly disconnected, possibly empty).
-    """
-    maintainer = KTrussMaintainer(graph, k)
-    # Seed: remove edges already below the threshold by running a cascade with
-    # an empty vertex set after artificially queueing weak edges.
-    weak = [
-        edge for edge, support in all_edge_supports(maintainer.graph).items()
-        if support < k - 2
-    ]
-    if weak:
-        # Deleting one endpoint would remove too much; instead remove the weak
-        # edges directly by temporarily treating each as a "vertex pair" seed.
-        queue = deque(weak)
-        queued = set(weak)
-        while queue:
-            u, v = queue.popleft()
-            if not maintainer.graph.has_edge(u, v):
-                continue
-            for w in maintainer.graph.common_neighbors(u, v):
-                for key in (edge_key(u, w), edge_key(v, w)):
-                    if key in queued:
-                        continue
-                    maintainer._support[key] -= 1
-                    if maintainer._support[key] < k - 2:
-                        queued.add(key)
-                        queue.append(key)
-            maintainer.graph.remove_edge(u, v)
-            maintainer._support.pop(edge_key(u, v), None)
-        for vertex in list(maintainer.graph.nodes()):
-            if maintainer.graph.degree(vertex) == 0:
-                maintainer.graph.remove_node(vertex)
-    return maintainer.snapshot()

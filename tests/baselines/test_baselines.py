@@ -12,7 +12,6 @@ from repro.graph.components import is_connected
 from repro.graph.generators import complete_graph, path_graph
 from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.extraction import find_maximal_connected_truss
-from repro.trusses.index import TrussIndex
 
 
 class TestTrussOnly:

@@ -10,7 +10,6 @@ from repro.exceptions import NoCommunityFoundError
 from repro.graph.components import is_connected
 from repro.graph.simple_graph import UndirectedGraph
 from repro.graph.triangles import all_edge_supports
-from repro.trusses.index import TrussIndex
 
 
 class TestBulkDeleteOnPaperExamples:

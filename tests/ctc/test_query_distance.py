@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ctc.query_distance import QueryDistanceSnapshot, compute_snapshot
+from repro.ctc.query_distance import compute_snapshot
 from repro.graph.generators import path_graph
 from repro.graph.simple_graph import UndirectedGraph
 

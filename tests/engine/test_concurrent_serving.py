@@ -443,6 +443,20 @@ class TestDurableSources:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_durability_engine_keyword_is_refused(self, tmp_path, mode):
+        """Durable serving takes a durable engine or a data directory; a
+        ``durability`` engine keyword would open a WAL nobody closes."""
+        data_dir = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match="durability"):
+            ServingEngine(
+                erdos_renyi_graph(20, 0.3, seed=4),
+                workers=1,
+                mode=mode,
+                durability=DurabilityConfig(data_dir),
+            )
+        assert not data_dir.exists()
+
 
 class _ReprCollidingInt(int):
     """An int whose repr collides with a *different* int's repr.

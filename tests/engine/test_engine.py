@@ -6,8 +6,7 @@ import pytest
 
 from repro.ctc.api import search
 from repro.engine import CTCEngine
-from repro.exceptions import EdgeNotFoundError, GraphError, StaleMaintainerError
-from repro.graph.delta import GraphDelta
+from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.trusses.index import TrussIndex
 
@@ -108,44 +107,6 @@ class TestInvalidation:
         assert engine.version == version + 1  # cache cannot serve stale state
 
 
-class TestMaintainerHooks:
-    def test_maintainer_deletions_invalidate(self):
-        engine = CTCEngine(complete_graph(6))
-        engine.snapshot()
-        version = engine.version
-        removed_vertices, removed_edges = engine.delete_vertices([0], k=4)
-        assert 0 in removed_vertices
-        assert engine.version > version
-        assert not engine.graph.has_node(0)
-        # The next query sees the mutated store.
-        engine.query([1, 2], method="bulk-delete")
-        assert engine.stats.misses == 2
-
-    def test_deleting_absent_vertices_is_a_noop(self):
-        engine = CTCEngine(complete_graph(5))
-        version = engine.version
-        removed_vertices, removed_edges = engine.delete_vertices([99], k=3)
-        assert removed_vertices == set() and removed_edges == set()
-        assert engine.version == version
-
-    def test_maintainer_operates_in_place(self):
-        engine = CTCEngine(complete_graph(6))
-        maintainer = engine.maintainer(4)
-        assert maintainer.graph is engine.graph
-
-    def test_stale_maintainer_refuses_to_run(self):
-        """A maintainer is invalid once the store mutates through another channel."""
-        engine = CTCEngine(complete_graph(7))
-        maintainer = engine.maintainer(4)
-        maintainer.delete_vertex(0)  # own cascades keep it fresh
-        engine.add_edge(100, 101)  # any other mutation stales it
-        with pytest.raises(StaleMaintainerError):
-            maintainer.delete_vertex(1)
-        # A fresh maintainer works again.
-        engine.maintainer(4).delete_vertex(1)
-        assert not engine.graph.has_node(1)
-
-
 class TestDeltaPipeline:
     def test_mutation_snapshot_is_delta_applied(self, engine):
         engine.snapshot()
@@ -220,40 +181,6 @@ class TestDeltaPipeline:
             CTCEngine(complete_graph(3), delta_threshold=-1)
         with pytest.raises(ValueError):
             CTCEngine(complete_graph(3), delta_log_limit=-1)
-
-
-class TestHookAtomicity:
-    def test_raising_hook_does_not_skip_version_bump(self):
-        """A user hook blowing up must not leave the cache serving stale data."""
-        engine = CTCEngine(complete_graph(6))
-        engine.snapshot()
-        maintainer = engine.maintainer(4)
-        version = engine.version
-
-        def exploding_hook(delta):
-            raise RuntimeError("observer crashed")
-
-        # Registered after the engine's own hook; a symmetric test registers
-        # one on a fresh maintainer where it runs *before* the engine's.
-        maintainer.register_mutation_hook(exploding_hook)
-        with pytest.raises(RuntimeError):
-            maintainer.delete_vertex(0)
-        assert not engine.graph.has_node(0)  # store mutated...
-        assert engine.version > version  # ...and the cache knows
-        fresh = engine.snapshot()
-        assert not fresh.graph.has_node(0)
-
-    def test_all_hooks_observe_cascade_despite_failure(self):
-        engine = CTCEngine(complete_graph(6))
-        maintainer = engine.maintainer(4)
-        seen: list[GraphDelta] = []
-        maintainer._hooks.insert(0, lambda delta: (_ for _ in ()).throw(RuntimeError))
-        maintainer.register_mutation_hook(seen.append)
-        with pytest.raises(RuntimeError):
-            maintainer.delete_vertex(0)
-        assert len(seen) == 1
-        assert 0 in seen[0].removed_nodes
-        assert engine.version > 0
 
 
 class TestLazyIndex:

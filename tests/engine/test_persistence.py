@@ -7,6 +7,7 @@ in ``tests/engine/test_crash_recovery.py``.
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 
@@ -431,6 +432,55 @@ class TestEngineDurability:
         assert recovered.cache_size == 2
         assert recovered.delta_threshold == 0
         recovered.close()
+
+
+class TestFailedAppend:
+    """A WAL append that raises must leave the store where it was."""
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("add_edge", (10, 11)),
+            ("remove_edge", (0, 1)),
+            ("add_node", (99,)),
+            ("remove_node", (0,)),
+            ("add_edges_from", ([(10, 11), (11, 0)],)),
+        ],
+    )
+    def test_failed_append_rolls_the_store_back(self, tmp_path, monkeypatch, method, args):
+        config = _config(tmp_path)
+        engine = CTCEngine(complete_graph(5), durability=config)
+        engine.snapshot()
+        nodes, edges = engine.graph.node_set(), engine.graph.edge_set()
+        version = engine.version
+        append = DurabilityManager.append
+        calls = []
+
+        def append_failing_once(manager, *call_args):
+            calls.append(call_args)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(manager, *call_args)
+
+        monkeypatch.setattr(DurabilityManager, "append", append_failing_once)
+        with pytest.raises(OSError):
+            getattr(engine, method)(*args)
+        assert engine.graph.node_set() == nodes
+        assert engine.graph.edge_set() == edges
+        assert engine.version == version
+
+        engine.remove_edge(2, 3)
+        patched = engine.snapshot()
+        assert engine.stats.delta_applies == 1
+        engine.clear_cache()
+        _assert_snapshots_identical(engine.snapshot(), patched)
+        engine.close()
+        recovered = CTCEngine.recover(config)
+        try:
+            assert recovered.graph == engine.graph
+            assert recovered.version == engine.version
+        finally:
+            recovered.close()
 
 
 class TestLazyColdStart:

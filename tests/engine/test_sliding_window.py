@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.queries import WindowedChurnStream
 from repro.engine import CTCEngine, SlidingWindowEngine
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ReproError
 from repro.graph.generators import erdos_renyi_graph, relaxed_caveman_graph
 from repro.graph.simple_graph import UndirectedGraph
 
@@ -214,12 +214,6 @@ class TestWindowMechanics:
         engine.add_edge(0, 1)
         engine.add_edge(1, 2)
         assert engine.graph.has_node("pinned")
-
-    def test_maintainer_is_refused(self):
-        engine = SlidingWindowEngine(window=4)
-        engine.add_edge(0, 1)
-        with pytest.raises(ConfigurationError, match="maintainer"):
-            engine.maintainer(3)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window"):

@@ -33,7 +33,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.tables import table2_network_statistics, table3_index_statistics
 from repro.exceptions import ReproError
-from repro.trusses.index import TrussIndex
 
 TINY = ExperimentConfig(
     queries_per_point=2,

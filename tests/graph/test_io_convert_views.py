@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.exceptions import NodeNotFoundError
 from repro.graph.convert import from_networkx, networkx_available, to_networkx
 from repro.graph.generators import complete_graph, path_graph
 from repro.graph.io import (

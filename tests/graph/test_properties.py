@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.convert import networkx_available, to_networkx
-from repro.graph.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graph.generators import cycle_graph, path_graph, star_graph
 from repro.graph.properties import (
     arboricity_upper_bound,
     average_degree,

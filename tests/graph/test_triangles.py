@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.convert import networkx_available, to_networkx
-from repro.graph.generators import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graph.generators import complete_graph, cycle_graph, star_graph
 from repro.graph.simple_graph import UndirectedGraph, edge_key
 from repro.graph.triangles import (
     all_edge_supports,

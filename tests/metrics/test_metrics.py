@@ -18,7 +18,7 @@ from repro.metrics.structure import (
     percentage_retained,
     reduction_ratio,
 )
-from repro.graph.generators import complete_graph, path_graph
+from repro.graph.generators import path_graph
 from repro.graph.simple_graph import UndirectedGraph
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.graph.generators import complete_graph, erdos_renyi_graph, path_graph
-from repro.graph.simple_graph import UndirectedGraph, edge_key
+from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.decomposition import truss_decomposition, vertex_trussness
 from repro.trusses.index import TrussIndex
 

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph.generators import complete_graph, erdos_renyi_graph
-from repro.graph.simple_graph import UndirectedGraph
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.triangles import all_edge_supports
 from repro.trusses.decomposition import k_truss_subgraph
 from repro.trusses.extraction import find_maximal_connected_truss
-from repro.trusses.index import TrussIndex
-from repro.trusses.maintenance import KTrussMaintainer, restore_k_truss
+from repro.trusses.maintenance import KTrussMaintainer
 
 
 class TestDeleteVertices:
@@ -105,72 +103,3 @@ class TestDeleteVertices:
         snapshot = maintainer.snapshot()
         maintainer.delete_vertex(0)
         assert snapshot == k5
-
-
-class TestMutationHooks:
-    def test_hook_receives_structured_delta(self, k4):
-        maintainer = KTrussMaintainer(k4, 4)
-        seen = []
-        maintainer.register_mutation_hook(seen.append)
-        removed_vertices, removed_edges = maintainer.delete_vertex(0)
-        assert len(seen) == 1
-        delta = seen[0]
-        assert delta.removed_nodes == frozenset(removed_vertices)
-        assert delta.removed_edges == frozenset(removed_edges)
-        assert not delta.added_nodes and not delta.added_edges
-
-    def test_hook_delta_is_normalized(self, figure1, figure1_index, figure1_query):
-        """Every edge incident to a removed vertex is listed explicitly."""
-        community, k = find_maximal_connected_truss(figure1_index, figure1_query)
-        before = community.copy()
-        maintainer = KTrussMaintainer(community, k)
-        seen = []
-        maintainer.register_mutation_hook(seen.append)
-        maintainer.delete_vertex("p1")
-        (delta,) = seen
-        for node in delta.removed_nodes:
-            for other in before.neighbors(node):
-                assert (
-                    (node, other) in delta.removed_edges
-                    or (other, node) in delta.removed_edges
-                )
-
-    def test_noop_cascade_fires_no_hook(self, k4):
-        maintainer = KTrussMaintainer(k4, 4)
-        seen = []
-        maintainer.register_mutation_hook(seen.append)
-        maintainer.delete_vertices([99])
-        assert seen == []
-
-    def test_raising_hook_does_not_starve_later_hooks(self, k4):
-        maintainer = KTrussMaintainer(k4, 4)
-        seen = []
-
-        def explode(delta):
-            raise ValueError("observer crashed")
-
-        maintainer.register_mutation_hook(explode)
-        maintainer.register_mutation_hook(seen.append)
-        with pytest.raises(ValueError):
-            maintainer.delete_vertex(0)
-        assert len(seen) == 1  # later hooks still observed the cascade
-
-
-class TestRestoreKTruss:
-    def test_restore_equals_maximal_k_truss(self):
-        graph = erdos_renyi_graph(30, 0.3, seed=21)
-        for k in (3, 4, 5):
-            assert restore_k_truss(graph, k).edge_set() == k_truss_subgraph(graph, k).edge_set()
-
-    def test_restore_on_already_valid_truss_is_identity(self, k5):
-        assert restore_k_truss(k5, 5) == k5
-
-    def test_restore_drops_everything_when_infeasible(self, triangle):
-        assert restore_k_truss(triangle, 4).number_of_edges() == 0
-
-    def test_restore_mixed_structure(self, figure1):
-        restored = restore_k_truss(figure1, 4)
-        assert "t" not in restored
-        assert restored.node_set() == {
-            "q1", "q2", "q3", "v1", "v2", "v3", "v4", "v5", "p1", "p2", "p3",
-        }
