@@ -7,11 +7,6 @@ structures the kernels need, all built **lazily** and cached, so a snapshot
 that only ever serves, say, FindG0 queries never pays for the structures the
 Steiner kernel wants:
 
-* ``flat adjacency`` — the CSR rows re-exposed as plain Python lists
-  (``bounds`` / ``neighbors`` / ``edges``), because scalar indexing into
-  Python lists is several times faster than scalar indexing into ``numpy``
-  arrays on the BFS/peeling hot loops (the same trade
-  :mod:`repro.trusses.csr_decomposition` makes);
 * ``sorted adjacency`` — each row re-ordered by *decreasing edge trussness*
   (ties by ``repr`` of the neighbour label), the array twin of
   :class:`~repro.trusses.index.TrussIndex`'s per-node lists.  The parallel
@@ -21,7 +16,9 @@ Steiner kernel wants:
 * ``repr ranks`` — the position of every node in the ``repr``-sorted label
   order.  The dict-path algorithms break ties with ``repr(node)`` string
   comparisons; the kernels compare the precomputed integer ranks instead and
-  make identical choices.
+  make identical choices.  Like the ``label_array`` gather table, they
+  depend on the node labels alone, so they are built once per node set and
+  shared by every snapshot over it (:meth:`CSRGraph.label_memo`).
 
 The tie-break mirroring is what buys the package its contract: for the same
 query, a kernel and its dict-path twin return **identical** communities
@@ -65,6 +62,23 @@ def validate_query_ids(
     return normalized, [csr.node_id(node) for node in normalized]
 
 
+def _repr_ranks(labels: list[Hashable]) -> list[int]:
+    """Rank of every node id in the ``repr``-sorted label order."""
+    order = sorted(range(len(labels)), key=lambda node: repr(labels[node]))
+    rank = [0] * len(labels)
+    for position, node in enumerate(order):
+        rank[node] = position
+    return rank
+
+
+def _object_array(labels: list[Hashable]) -> np.ndarray:
+    """``labels`` as an ``object`` array (one slot per label, tuples kept whole)."""
+    array = np.empty(len(labels), dtype=object)
+    for position, label in enumerate(labels):
+        array[position] = label
+    return array
+
+
 class QueryKernel:
     """Lazily derived, cached query-execution structures over one snapshot.
 
@@ -94,6 +108,10 @@ class QueryKernel:
     A ``QueryKernel`` is immutable-by-contract like the snapshot it wraps;
     :class:`~repro.engine.EngineSnapshot` memoizes one per snapshot so the
     derived structures amortize across every query on that graph version.
+    The label structures (:attr:`repr_rank`, :attr:`repr_rank_array`,
+    :attr:`label_array`) amortize further: they are memoized on the node
+    set (:meth:`CSRGraph.label_memo`), so the kernels of every snapshot an
+    edge-only delta derives share one copy.
 
     Thread-safety: the serving layer shares one kernel between reader
     threads.  The memos that are derived through multiple dependent fields
@@ -109,7 +127,6 @@ class QueryKernel:
         "trussness",
         "incidence",
         "_tau_list",
-        "_flat",
         "_sorted",
         "_sorted_np",
         "_repr_rank",
@@ -141,7 +158,6 @@ class QueryKernel:
                 f"({csr.number_of_edges()}), got shape {self.trussness.shape}"
             )
         self._tau_list: list[int] | None = None
-        self._flat: tuple[list[int], list[int], list[int]] | None = None
         self._sorted: tuple[list[int], list[int], list[int], list[int]] | None = None
         self._sorted_np: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._repr_rank: list[int] | None = None
@@ -178,22 +194,6 @@ class QueryKernel:
         return self._edge_v_list
 
     @property
-    def flat(self) -> tuple[list[int], list[int], list[int]]:
-        """``(bounds, neighbors, edges)``: the raw CSR rows as Python lists.
-
-        Node ``i``'s neighbours occupy ``neighbors[bounds[i]:bounds[i+1]]``
-        (sorted by neighbour id), with the parallel ``edges`` list holding
-        the edge id of each slot.
-        """
-        if self._flat is None:
-            self._flat = (
-                self.csr.indptr.tolist(),
-                self.csr.indices.tolist(),
-                self.csr.slot_edge.tolist(),
-            )
-        return self._flat
-
-    @property
     def repr_rank(self) -> list[int]:
         """Rank of every node id in the ``repr``-sorted label order.
 
@@ -203,19 +203,16 @@ class QueryKernel:
         ``repr``-based tie-breaks with integer comparisons.
         """
         if self._repr_rank is None:
-            labels = self.csr.labels()
-            order = sorted(range(len(labels)), key=lambda node: repr(labels[node]))
-            rank = [0] * len(labels)
-            for position, node in enumerate(order):
-                rank[node] = position
-            self._repr_rank = rank
+            self._repr_rank = self.csr.label_memo("repr_rank", _repr_ranks)
         return self._repr_rank
 
     @property
     def repr_rank_array(self) -> np.ndarray:
         """:attr:`repr_rank` as an ``int64`` array (for vectorized tie-breaks)."""
         if self._repr_rank_np is None:
-            self._repr_rank_np = np.asarray(self.repr_rank, dtype=np.int64)
+            self._repr_rank_np = self.csr.label_memo(
+                "repr_rank_array", lambda _: np.asarray(self.repr_rank, dtype=np.int64)
+            )
         return self._repr_rank_np
 
     @property
@@ -234,7 +231,7 @@ class QueryKernel:
                         np.arange(num_nodes, dtype=np.int64), np.diff(csr.indptr)
                     )
                     neg_tau = -self.trussness[csr.slot_edge]
-                    rank = np.asarray(self.repr_rank, dtype=np.int64)[csr.indices]
+                    rank = self.repr_rank_array[csr.indices]
                     # One composite-key argsort instead of a three-key lexsort
                     # (the keys are small non-negative ints, so the packed
                     # value is exact and ~10x faster to sort); equivalent to
@@ -328,7 +325,7 @@ class QueryKernel:
     def levels(self) -> list[int]:
         """Distinct trussness levels present, in decreasing order."""
         if self._levels is None:
-            self._levels = np.unique(self.trussness)[::-1].tolist()
+            self._levels = np.flatnonzero(np.bincount(self.trussness))[::-1].tolist()
         return self._levels
 
     @property
@@ -340,11 +337,7 @@ class QueryKernel:
         Python ``node_label`` call per member.
         """
         if self._label_array is None:
-            labels = self.csr.labels()
-            array = np.empty(len(labels), dtype=object)
-            for position, label in enumerate(labels):
-                array[position] = label
-            self._label_array = array
+            self._label_array = self.csr.label_memo("label_array", _object_array)
         return self._label_array
 
     def __repr__(self) -> str:

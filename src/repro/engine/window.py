@@ -126,19 +126,28 @@ class SlidingWindowEngine(CTCEngine):
         self._fifo.append((self._insert_seq, key))
 
     def _expire(self) -> None:
-        """Evict the stalest live edges until the window invariant holds."""
+        """Evict the stalest live edges until the window invariant holds.
+
+        An edge leaves the bookkeeping only once its removal is recorded:
+        if the removal raises (a failed WAL append rolls the store back),
+        the edge stays live at the head of the FIFO and expires on the next
+        attempt.  Endpoints left isolated by the edges that did expire are
+        dropped afterwards, also when a later removal raised; the logged
+        deltas keep their order, edges first, then nodes.
+        """
         expired: list[EdgeKey] = []
-        while len(self._live) > self._window:
-            sequence, key = self._fifo.popleft()
-            if self._live.get(key) != sequence:
-                continue  # stale entry: refreshed later or removed early
-            del self._live[key]
-            expired.append(key)
-        for u, v in expired:
-            super().remove_edge(u, v)
-        for node in {endpoint for key in expired for endpoint in key}:
-            if self._graph.has_node(node) and self._graph.degree(node) == 0:
-                super().remove_node(node)
+        try:
+            while len(self._live) > self._window:
+                sequence, key = self._fifo[0]
+                if self._live.get(key) == sequence:  # else stale: refreshed or removed
+                    super().remove_edge(*key)
+                    del self._live[key]
+                    expired.append(key)
+                self._fifo.popleft()
+        finally:
+            for node in {endpoint for key in expired for endpoint in key}:
+                if self._graph.has_node(node) and self._graph.degree(node) == 0:
+                    super().remove_node(node)
 
     # ------------------------------------------------------------------
     # mutations (window bookkeeping wraps the engine's delta logging)

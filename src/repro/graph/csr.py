@@ -32,7 +32,7 @@ The array-based truss routines that consume this layout live in
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,27 @@ from repro.graph.keys import EdgeKey, edge_key
 from repro.graph.simple_graph import UndirectedGraph
 
 __all__ = ["CSRGraph", "CSRPatch", "CSRSubgraph"]
+
+
+def _keeps_node_order(node_remap: np.ndarray | None) -> bool:
+    """Return ``True`` if ``node_remap`` keeps the kept nodes' id order.
+
+    ``None`` is the identity.  A remap is monotonic whenever the old and new
+    label orders agree on kept labels: always, except when adding a label
+    flips the node sort into its ``repr`` fallback.
+    """
+    if node_remap is None:
+        return True
+    kept = node_remap[node_remap >= 0]
+    return kept.size <= 1 or bool(np.all(np.diff(kept) > 0))
+
+
+def _inverse_origin(edge_origin: np.ndarray, old_edge_count: int) -> np.ndarray:
+    """Invert a patch's ``edge_origin``: old edge id -> new edge id or ``-1``."""
+    inverse = np.full(old_edge_count, -1, dtype=np.int64)
+    carried = edge_origin >= 0
+    inverse[edge_origin[carried]] = np.nonzero(carried)[0]
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -120,10 +141,7 @@ class CSRPatch:
         """
         if old_edge_count is None:
             old_edge_count = self.old_edge_count
-        inverse = np.full(old_edge_count, -1, dtype=np.int64)
-        carried = self.edge_origin >= 0
-        inverse[self.edge_origin[carried]] = np.nonzero(carried)[0]
-        return inverse
+        return _inverse_origin(self.edge_origin, old_edge_count)
 
     def inserted_edge_ids(self) -> np.ndarray:
         """Return the new edge ids the delta inserted, in ascending order."""
@@ -139,10 +157,7 @@ class CSRPatch:
         structures (:func:`repro.graph.csr_triangles.patch_incidence`) use
         this to skip re-canonicalization on the common path.
         """
-        if self.node_remap is None:
-            return True
-        kept = self.node_remap[self.node_remap >= 0]
-        return kept.size <= 1 or bool(np.all(np.diff(kept) > 0))
+        return _keeps_node_order(self.node_remap)
 
 
 class CSRGraph:
@@ -177,7 +192,7 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "slot_edge", "edge_u", "edge_v", "_labels", "_ids",
-        "_retained",
+        "_label_cache", "_retained",
     )
 
     def __init__(
@@ -189,6 +204,7 @@ class CSRGraph:
         edge_v: np.ndarray,
         labels: list[Hashable],
         ids: dict[Hashable, int],
+        label_cache: dict[str, object] | None = None,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
@@ -197,6 +213,8 @@ class CSRGraph:
         self.edge_v = edge_v
         self._labels = labels
         self._ids = ids
+        #: The per-node-set memo of :meth:`label_memo`, shared like ``_labels``.
+        self._label_cache = {} if label_cache is None else label_cache
         #: Keeps the shared-memory bundle backing the arrays alive (set by
         #: :meth:`from_shared`; ``None`` for ordinary in-process snapshots).
         self._retained = None
@@ -324,10 +342,18 @@ class CSRGraph:
         """Return a new snapshot with ``delta`` applied, patching touched rows only.
 
         The result is bit-for-bit identical to ``CSRGraph.from_graph`` of
-        the mutated graph (same label order, same arrays), but is built by
-        editing only the adjacency rows the delta touches: untouched rows
-        are bulk-copied, and the global edge-id reassignment runs as one
-        vectorized ``lexsort`` pass instead of a per-slot Python loop.
+        the mutated graph (same label order, same arrays), but no edge is
+        renumbered by sorting: edge ids come from merging the sorted keys
+        of the inserted edges into the surviving edges' keys, which are
+        already in row-major order.  When the node set is unchanged,
+        untouched rows are bulk-copied, their slots' edge ids mapped
+        through the old-to-new edge map, and only edited rows look theirs
+        up in the merged keys; when it changed, the surviving slots are
+        remapped in one pass (and re-sorted only if the remap flips the ids
+        into ``repr`` order) and the inserted edges' slots merged in the
+        same way.  An edge-only delta shares the node labels, and the
+        structures derived from them (:meth:`label_memo`), with this
+        snapshot.
 
         ``delta`` must be normalized against this snapshot (see
         :mod:`repro.graph.delta`); violations raise
@@ -366,18 +392,22 @@ class CSRGraph:
                 new_position = new_ids.get(label)
                 if new_position is not None:
                     node_remap[position] = new_position
+            label_cache = None
         else:
             new_labels = self._labels  # shared; snapshots never mutate it
             new_ids = self._ids
             node_remap = None
+            label_cache = self._label_cache
         num_new_nodes = len(new_labels)
+        stride = num_new_nodes + 1  # edge key: low * stride + high, in new ids
 
         # --- resolve edge changes into id space ------------------------
         removed_eids: list[int] = []
         removed_per_node: dict[int, int] = {}
-        # (new_id -> neighbours to drop / insert), for rows of *kept* nodes.
+        # (new_id -> neighbours to drop / insert): the rows _fill_rows_fast edits.
         drop_neighbors: dict[int, set[int]] = {}
         insert_neighbors: dict[int, list[int]] = {}
+        inserted_keys: list[int] = []
         degree_delta: dict[int, int] = {}
 
         for a, b in delta.removed_edges:
@@ -417,6 +447,7 @@ class CSRGraph:
                 raise GraphError(f"delta adds edge ({a!r}, {b!r}) which is already present")
             insert_neighbors.setdefault(new_u, []).append(new_v)
             insert_neighbors.setdefault(new_v, []).append(new_u)
+            inserted_keys.append(min(new_u, new_v) * stride + max(new_u, new_v))
             for endpoint in (new_u, new_v):
                 degree_delta[endpoint] = degree_delta.get(endpoint, 0) + 1
 
@@ -433,60 +464,51 @@ class CSRGraph:
         new_indptr = np.zeros(num_new_nodes + 1, dtype=np.int64)
         np.cumsum(new_degrees, out=new_indptr[1:])
         total_slots = int(new_indptr[-1])
-        new_indices = np.empty(total_slots, dtype=np.int64)
 
-        # --- fill adjacency rows ---------------------------------------
-        if node_remap is None:
-            self._fill_rows_fast(new_indptr, new_indices, drop_neighbors, insert_neighbors)
+        # --- edge ids (row-major (u, v), u < v): merge insertions in ----
+        removed_ids = np.asarray(sorted(removed_eids), dtype=np.int64)
+        surviving = np.delete(np.arange(num_old_edges, dtype=np.int64), removed_ids)
+        surviving_u, surviving_v = self.edge_u[surviving], self.edge_v[surviving]
+        monotonic = _keeps_node_order(node_remap)
+        if node_remap is not None:
+            surviving_u, surviving_v = node_remap[surviving_u], node_remap[surviving_v]
+            if surviving.size and min(surviving_u.min(), surviving_v.min()) < 0:
+                raise GraphError(
+                    "delta removed an edge implicitly (not listed in removed_edges)"
+                )
+        if monotonic:
+            surviving_keys = surviving_u * stride + surviving_v  # already ascending
         else:
-            self._fill_rows_remapped(
-                node_remap, new_indptr, new_indices, drop_neighbors, insert_neighbors,
-                num_new_nodes,
+            surviving_keys = (
+                np.minimum(surviving_u, surviving_v) * stride
+                + np.maximum(surviving_u, surviving_v)
             )
-
-        # --- vectorized edge-id assignment (row-major (u, v), u < v) ---
-        row_of_slot = np.repeat(np.arange(num_new_nodes, dtype=np.int64), new_degrees)
-        low = np.minimum(row_of_slot, new_indices)
-        high = np.maximum(row_of_slot, new_indices)
-        # Composite-key argsort, equivalent to np.lexsort((high, low)) but
-        # one sorting pass (both keys are node ids < num_new_nodes).
-        order = np.argsort(low * (num_new_nodes + 1) + high, kind="stable")
-        if total_slots % 2:
-            raise GraphError("delta produced an asymmetric adjacency structure")
-        new_slot_edge = np.empty(total_slots, dtype=np.int64)
-        new_slot_edge[order] = np.arange(total_slots, dtype=np.int64) // 2
-        new_edge_u = np.ascontiguousarray(low[order][::2])
-        new_edge_v = np.ascontiguousarray(high[order][::2])
-        if not (
-            np.array_equal(new_edge_u, low[order][1::2])
-            and np.array_equal(new_edge_v, high[order][1::2])
+            order = np.argsort(surviving_keys)
+            surviving_keys, surviving = surviving_keys[order], surviving[order]
+        inserted = np.sort(np.asarray(inserted_keys, dtype=np.int64))
+        positions = np.searchsorted(surviving_keys, inserted)
+        edge_keys = np.insert(surviving_keys, positions, inserted)
+        edge_origin = np.insert(surviving, positions, -1)
+        if (
+            total_slots % 2
+            or total_slots != 2 * edge_keys.size
+            or np.any(edge_keys[1:] <= edge_keys[:-1])
         ):
             raise GraphError("delta produced an asymmetric adjacency structure")
-        num_new_edges = total_slots // 2
 
-        # --- old edge -> new edge correspondence -----------------------
-        removed_ids = np.asarray(sorted(removed_eids), dtype=np.int64)
-        survivor_mask = np.ones(num_old_edges, dtype=bool)
-        survivor_mask[removed_ids] = False
-        surviving = np.nonzero(survivor_mask)[0]
+        # --- adjacency rows and their slot edge ids --------------------
+        # Each old slot's new edge id, or -1 where its edge was removed.
+        carried = _inverse_origin(edge_origin, num_old_edges)[self.slot_edge]
         if node_remap is None:
-            surviving_u = self.edge_u[surviving]
-            surviving_v = self.edge_v[surviving]
+            new_indices, new_slot_edge = self._fill_rows_fast(
+                new_indptr, carried, edge_keys, drop_neighbors, insert_neighbors
+            )
         else:
-            surviving_u = node_remap[self.edge_u[surviving]]
-            surviving_v = node_remap[self.edge_v[surviving]]
-        stride = num_new_nodes + 1
-        old_keys = (
-            np.minimum(surviving_u, surviving_v) * stride
-            + np.maximum(surviving_u, surviving_v)
-        )
-        new_keys = new_edge_u * stride + new_edge_v
-        positions = np.searchsorted(new_keys, old_keys)
-        if positions.size and not np.array_equal(new_keys[positions], old_keys):
-            raise GraphError("delta removed an edge implicitly (not listed in removed_edges)")
-        edge_origin = np.full(num_new_edges, -1, dtype=np.int64)
-        edge_origin[positions] = surviving
+            new_indices, new_slot_edge = self._merge_remapped_slots(
+                node_remap, monotonic, stride, carried, edge_keys, edge_origin
+            )
 
+        new_edge_u, new_edge_v = np.divmod(edge_keys, stride)
         patched = CSRGraph(
             indptr=new_indptr,
             indices=new_indices,
@@ -495,6 +517,7 @@ class CSRGraph:
             edge_v=new_edge_v,
             labels=new_labels,
             ids=new_ids,
+            label_cache=label_cache,
         )
         return CSRPatch(
             csr=patched,
@@ -520,62 +543,85 @@ class CSRGraph:
     def _fill_rows_fast(
         self,
         new_indptr: np.ndarray,
-        new_indices: np.ndarray,
+        carried: np.ndarray,
+        edge_keys: np.ndarray,
         drop_neighbors: dict[int, set[int]],
         insert_neighbors: dict[int, list[int]],
-    ) -> None:
-        """Fill rows when the node set is unchanged: bulk-copy untouched gaps."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(indices, slot_edge)`` when the node set is unchanged.
+
+        Untouched rows are bulk-copied, their slots' edge ids taken from
+        ``carried``; only edited rows look theirs up in ``edge_keys``.
+        """
+        stride = new_indptr.size  # the edge-key stride, num_nodes + 1
+        new_indices = np.empty(int(new_indptr[-1]), dtype=np.int64)
+        new_slot_edge = np.empty_like(new_indices)
         touched = sorted(set(drop_neighbors) | set(insert_neighbors))
         previous = 0
         for node in touched:
             # Rows [previous, node) are untouched: identical content, shifted offset.
             old_start, old_stop = int(self.indptr[previous]), int(self.indptr[node])
             new_start = int(new_indptr[previous])
-            new_indices[new_start:new_start + (old_stop - old_start)] = (
-                self.indices[old_start:old_stop]
-            )
+            new_stop = new_start + (old_stop - old_start)
+            new_indices[new_start:new_stop] = self.indices[old_start:old_stop]
+            new_slot_edge[new_start:new_stop] = carried[old_start:old_stop]
             row = self._edited_row(
                 self.indices[self.indptr[node]:self.indptr[node + 1]],
                 drop_neighbors.get(node),
                 insert_neighbors.get(node),
             )
+            # The row is sorted, so its edge keys ascend: one searchsorted.
+            keys = np.minimum(row, node) * stride + np.maximum(row, node)
+            edge_ids = np.searchsorted(edge_keys, keys)
+            if edge_ids.size and (
+                edge_ids[-1] >= edge_keys.size
+                or not np.array_equal(edge_keys[edge_ids], keys)
+            ):
+                raise GraphError("delta produced an asymmetric adjacency structure")
             new_indices[new_indptr[node]:new_indptr[node + 1]] = row
+            new_slot_edge[new_indptr[node]:new_indptr[node + 1]] = edge_ids
             previous = node + 1
         old_start = int(self.indptr[previous])
         new_start = int(new_indptr[previous])
         new_indices[new_start:] = self.indices[old_start:]
+        new_slot_edge[new_start:] = carried[old_start:]
+        if new_slot_edge.size and new_slot_edge.min() < 0:
+            raise GraphError("delta removed an edge implicitly (not listed in removed_edges)")
+        return new_indices, new_slot_edge
 
-    def _fill_rows_remapped(
+    def _merge_remapped_slots(
         self,
         node_remap: np.ndarray,
-        new_indptr: np.ndarray,
-        new_indices: np.ndarray,
-        drop_neighbors: dict[int, set[int]],
-        insert_neighbors: dict[int, list[int]],
-        num_new_nodes: int,
-    ) -> None:
-        """Fill rows when the node set changed: every kept row is id-remapped."""
-        remapped = node_remap[self.indices]
-        # The remap is monotonic whenever the old and new label orders agree
-        # on kept labels (always, except when adding a label flips the sort
-        # into its repr fallback); rows then stay sorted after remapping.
-        kept_ids = node_remap[node_remap >= 0]
-        monotonic = bool(np.all(np.diff(kept_ids) > 0)) if kept_ids.size > 1 else True
-        old_of_new = np.full(num_new_nodes, -1, dtype=np.int64)
-        old_of_new[kept_ids] = np.nonzero(node_remap >= 0)[0]
-        for node in range(num_new_nodes):
-            old_node = int(old_of_new[node])
-            if old_node >= 0:
-                row = remapped[self.indptr[old_node]:self.indptr[old_node + 1]]
-                row = row[row >= 0]  # neighbours that were removed nodes
-                if not monotonic:
-                    row = np.sort(row)
-                row = self._edited_row(
-                    row, drop_neighbors.get(node), insert_neighbors.get(node)
-                )
-            else:
-                row = np.asarray(sorted(insert_neighbors.get(node, [])), dtype=np.int64)
-            new_indices[new_indptr[node]:new_indptr[node + 1]] = row
+        monotonic: bool,
+        stride: int,
+        carried: np.ndarray,
+        edge_keys: np.ndarray,
+        edge_origin: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(indices, slot_edge)`` when the node set changed.
+
+        The slots of surviving edges, remapped to new ids, keep their
+        row-major ``(row, neighbour)`` order under a ``monotonic`` remap
+        (see :func:`_keeps_node_order`) and are re-sorted otherwise; the
+        two slots of every inserted edge are merged in by the same key.
+        """
+        alive = carried >= 0
+        rows = np.repeat(node_remap, np.diff(self.indptr))[alive]
+        neighbors = node_remap[self.indices[alive]]
+        slot_edge = carried[alive]
+        keys = rows * stride + neighbors
+        if not monotonic:
+            order = np.argsort(keys)
+            keys, neighbors, slot_edge = keys[order], neighbors[order], slot_edge[order]
+        inserted_ids = np.flatnonzero(edge_origin < 0)
+        low, high = np.divmod(edge_keys[inserted_ids], stride)
+        inserted_keys = np.concatenate([low * stride + high, high * stride + low])
+        order = np.argsort(inserted_keys)
+        positions = np.searchsorted(keys, inserted_keys[order])
+        return (
+            np.insert(neighbors, positions, np.concatenate([high, low])[order]),
+            np.insert(slot_edge, positions, np.concatenate([inserted_ids] * 2)[order]),
+        )
 
     # ------------------------------------------------------------------
     # subgraph extraction
@@ -675,6 +721,20 @@ class CSRGraph:
     def labels(self) -> list[Hashable]:
         """Return the labels in id order (a fresh list)."""
         return list(self._labels)
+
+    def label_memo(self, name: str, build: Callable[[list[Hashable]], object]) -> object:
+        """Return the structure ``name`` derived from the node labels alone.
+
+        On a miss, ``build(labels)`` computes it from the labels in id
+        order.  The memo belongs to the node set: every snapshot an
+        edge-only :meth:`apply_delta` derives from this one shares it.
+        Concurrent first uses may each build; all return the value stored
+        first.  Callers must not mutate the result.
+        """
+        value = self._label_cache.get(name)
+        if value is None:
+            value = self._label_cache.setdefault(name, build(self._labels))
+        return value
 
     def has_node(self, label: Hashable) -> bool:
         """Return ``True`` if ``label`` is a node of the snapshot."""

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.ctc.api import search
+from repro.ctc.kernels import QueryKernel
 from repro.engine import CTCEngine
 from repro.exceptions import EdgeNotFoundError, GraphError
 from repro.graph.generators import complete_graph, erdos_renyi_graph
@@ -196,6 +201,82 @@ class TestLazyIndex:
     def test_kernel_is_memoized_per_snapshot(self, engine):
         snapshot = engine.snapshot()
         assert snapshot.kernel is snapshot.kernel
+
+
+class TestLabelStructureSharing:
+    """Kernel label structures are built once per node set."""
+
+    @staticmethod
+    def _label_structures(snapshot):
+        kernel = snapshot.kernel
+        return kernel.repr_rank, kernel.repr_rank_array, kernel.label_array
+
+    def test_edge_only_delta_shares_label_structures(self, engine):
+        engine.query([0, 1], method="bulk-delete")
+        base = engine.snapshot()
+        engine.remove_edge(*sorted(engine.graph.edges())[0])
+        engine.query([0, 1], method="bulk-delete")
+        patched = engine.snapshot()
+        assert engine.stats.delta_applies == 1
+        assert patched.kernel is not base.kernel
+        for own, shared in zip(self._label_structures(patched), self._label_structures(base)):
+            assert own is shared
+
+    def test_concurrent_first_uses_share_one_copy(self):
+        # Enough labels that building the ranks spans many thread switches.
+        engine = CTCEngine(erdos_renyi_graph(3000, 0.002, seed=3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(4):
+                engine.add_node(f"n{round_index}")  # a new node set: a fresh memo
+                snapshots = [engine.snapshot()]
+                for edge in sorted(engine.graph.edges(), key=repr)[:3]:
+                    engine.remove_edge(*edge)
+                    snapshots.append(engine.snapshot())
+                results = []
+                barrier = threading.Barrier(8)
+
+                def read(snapshot):
+                    barrier.wait(timeout=30)
+                    results.append(snapshot.kernel.repr_rank)
+
+                threads = [
+                    threading.Thread(target=read, args=(snapshots[index % 4],))
+                    for index in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 8
+                assert len({id(rank) for rank in results}) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("label", [500, "x"])  # "x" flips the ids into repr order
+    def test_node_adding_delta_builds_fresh_label_structures(self, engine, label):
+        before = self._label_structures(engine.snapshot())
+        engine.add_edge(0, label)
+        snapshot = engine.snapshot()
+        assert engine.stats.delta_applies == 1
+        fresh = QueryKernel(snapshot.csr, snapshot.trussness)
+        rank, rank_array, label_array = self._label_structures(snapshot)
+        for own, old in zip((rank, rank_array, label_array), before):
+            assert own is not old
+        assert rank == fresh.repr_rank
+        assert np.array_equal(rank_array, fresh.repr_rank_array)
+        assert label_array.tolist() == fresh.label_array.tolist()
+        index = TrussIndex(snapshot.graph)
+        for method in ("basic", "bulk-delete", "lctc", "truss"):
+            for query in ([0, 1], [label, 0]):
+                via_snapshot = search(snapshot, query, method=method)
+                via_index = search(index, query, method=method)
+                assert via_snapshot.nodes == via_index.nodes, (method, query)
+                assert set(via_snapshot.graph.edges()) == set(via_index.graph.edges())
+                assert via_snapshot.trussness == via_index.trussness
+                assert via_snapshot.query_distance == via_index.query_distance
 
 
 class TestCorrectness:

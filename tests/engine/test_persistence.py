@@ -482,6 +482,35 @@ class TestFailedAppend:
         finally:
             recovered.close()
 
+    def test_failed_expiry_append_keeps_the_edge_in_the_window(self, tmp_path, monkeypatch):
+        config = _config(tmp_path)
+        engine = SlidingWindowEngine(window=3, durability=config)
+        for edge in [(0, 1), (1, 2), (2, 3)]:
+            engine.add_edge(*edge)
+        append = DurabilityManager.append
+        calls = []
+
+        def expiry_append_fails(manager, *call_args):
+            calls.append(call_args)
+            if len(calls) == 2:  # the first is the arrival of (3, 4)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(manager, *call_args)
+
+        monkeypatch.setattr(DurabilityManager, "append", expiry_append_fails)
+        with pytest.raises(OSError):
+            engine.add_edge(3, 4)
+        assert engine.window_edges() == engine.graph.edge_set()
+
+        engine.add_edge(4, 5)
+        assert engine.graph.number_of_edges() == 3
+        assert engine.window_edges() == engine.graph.edge_set()
+        engine.close()
+        recovered = SlidingWindowEngine.recover(config, window=3)
+        try:
+            assert recovered.graph == engine.graph
+        finally:
+            recovered.close()
+
 
 class TestLazyColdStart:
     """Cold starts defer the O(m) dict-store thaw until a mutation needs it."""

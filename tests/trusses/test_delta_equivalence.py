@@ -58,6 +58,34 @@ mutation_streams = st.lists(
     max_size=12,
 )
 
+#: Streams of batches: each batch of one to four operations is chained into
+#: one delta, as the engine chains the mutations between two reads.
+#: ``add_label_node`` adds a ``str`` label, which flips an ``int`` graph's
+#: node ids into ``repr`` order.
+batched_streams = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add_edge", "remove_edge", "remove_node", "add_node", "add_label_node"]
+            ),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _sorted_labels(items):
+    """Sort like :meth:`CSRGraph.from_graph`: by value, by ``repr`` if mixed."""
+    items = list(items)
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
+
 
 def _next_delta(graph, op, pick):
     """Mutate ``graph`` per ``(op, pick)`` and return the normalized delta.
@@ -65,7 +93,8 @@ def _next_delta(graph, op, pick):
     Mirrors what the engine's mutation methods record; returns ``None``
     when the drawn operation is a no-op on the current graph.
     """
-    nodes = sorted(graph.nodes())
+    nodes = _sorted_labels(graph.nodes())
+    fresh = 1 + max((node for node in nodes if isinstance(node, int)), default=0)
     if op == "add_edge":
         absent = [
             (u, v)
@@ -73,13 +102,13 @@ def _next_delta(graph, op, pick):
             for v in nodes[i + 1:]
             if not graph.has_edge(u, v)
         ]
-        absent.append((nodes[pick % len(nodes)], max(nodes) + 1 + pick % 7))
+        absent.append((nodes[pick % len(nodes)], fresh + pick % 7))
         u, v = absent[pick % len(absent)]
         added_nodes = [x for x in (u, v) if not graph.has_node(x)]
         graph.add_edge(u, v)
         return GraphDelta(added_nodes=added_nodes, added_edges=[(u, v)])
     if op == "remove_edge":
-        edges = sorted(graph.edges())
+        edges = _sorted_labels(graph.edges())
         if not edges:
             return None
         u, v = edges[pick % len(edges)]
@@ -92,26 +121,41 @@ def _next_delta(graph, op, pick):
         incident = [(node, other) for other in graph.neighbors(node)]
         graph.remove_node(node)
         return GraphDelta(removed_nodes=[node], removed_edges=incident)
-    node = max(nodes) + 500 + pick % 13
+    if op == "add_label_node":
+        label, other = f"n{pick % 13}", nodes[pick % len(nodes)]
+        if graph.has_node(label):
+            return None
+        graph.add_edge(label, other)
+        return GraphDelta(added_nodes=[label], added_edges=[(label, other)])
+    node = fresh + 499 + pick % 13
     graph.add_node(node)
     return GraphDelta(added_nodes=[node])
 
 
 class TestCsrDeltaEquivalence:
     @common_settings
-    @given(graph=base_graphs(), stream=mutation_streams)
+    @given(graph=base_graphs(), stream=batched_streams)
     def test_apply_delta_matches_from_graph(self, graph, stream):
-        """Chained apply_delta snapshots are bit-for-bit full freezes."""
+        """Chained apply_delta snapshots are bit-for-bit full freezes.
+
+        ``edge_origin`` maps every edge the two snapshots share to its old
+        id (``-1`` for the rest), and ``removed_edge_ids`` lists the old ids
+        of the edges that are gone.
+        """
         csr = CSRGraph.from_graph(graph)
-        for op, pick in stream:
-            delta = _next_delta(graph, op, pick)
-            if delta is None:
-                continue
-            csr = csr.apply_delta(delta).csr
+        for batch in stream:
+            deltas = [_next_delta(graph, op, pick) for op, pick in batch]
+            patch = csr.apply_delta(GraphDelta.chain(d for d in deltas if d is not None))
             fresh = CSRGraph.from_graph(graph)
-            assert csr.labels() == fresh.labels()
+            assert patch.csr.labels() == fresh.labels()
             for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
-                assert np.array_equal(getattr(csr, name), getattr(fresh, name)), name
+                assert np.array_equal(getattr(patch.csr, name), getattr(fresh, name)), name
+            old_ids = {key: e for e, key in enumerate(csr.edge_keys())}
+            new_keys = fresh.edge_keys()
+            assert patch.edge_origin.tolist() == [old_ids.get(key, -1) for key in new_keys]
+            gone = old_ids.keys() - set(new_keys)
+            assert patch.removed_edge_ids.tolist() == sorted(old_ids[key] for key in gone)
+            csr = patch.csr
 
     @common_settings
     @given(graph=base_graphs(), stream=mutation_streams)
