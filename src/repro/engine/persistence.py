@@ -28,9 +28,11 @@ fsync policy
 ``always`` fsyncs after every append (no acknowledged delta is ever lost,
 even to a kernel panic), ``batch`` fsyncs every ``fsync_batch`` appends and
 at checkpoints (bounded loss on *OS* crash), ``off`` never fsyncs
-explicitly.  All three policies ``flush`` per append, so a killed *process*
-(``kill -9``) loses nothing under any of them — the OS still holds the
-bytes; fsync only buys durability against the machine itself dying.
+explicitly.  Under all three the log file is unbuffered, so each append
+hands its record to the OS in one ``write`` and a killed *process*
+(``kill -9``) loses nothing — the OS still holds the bytes; fsync only buys
+durability against the machine itself dying.  An append whose write or
+fsync fails is truncated back off the log before the error propagates.
 
 Recovery state machine
 ----------------------
@@ -205,10 +207,10 @@ class WriteAheadLog:
         self._unsynced = 0
         self.appends = 0
         self.syncs = 0
-        self._handle = open(path, "ab")
+        self._truncate_error: OSError | None = None
+        self._handle = open(path, "ab", buffering=0)
         if self._handle.tell() == 0:
             self._handle.write(self.MAGIC)
-            self._handle.flush()
             os.fsync(self._handle.fileno())
             fsync_dir(os.path.dirname(os.path.abspath(path)))
         self._size = self._handle.tell()
@@ -224,17 +226,38 @@ class WriteAheadLog:
         return self._size
 
     def append(self, version: int, delta: GraphDelta) -> None:
-        """Append one version's delta; flush always, fsync per policy."""
+        """Append one version's delta; fsync per policy.
+
+        If the write or the fsync raises, the log is truncated back to its
+        length before the append and the error propagates, so a failed
+        append leaves no record behind for the next append to duplicate.
+        If the truncation fails too, the log refuses every later append.
+        """
+        if self._truncate_error is not None:
+            raise WalCorruptionError(
+                "a failed append could not be truncated off the log; "
+                "it refuses further appends",
+                path=self._path,
+                offset=self._size,
+            ) from self._truncate_error
         payload = _VERSION_PREFIX.pack(version) + delta.to_bytes()
-        self._size += append_record(self._handle, payload)
-        self._handle.flush()
-        self.appends += 1
-        if self._fsync == "always":
-            self._sync()
-        elif self._fsync == "batch":
-            self._unsynced += 1
-            if self._unsynced >= self._fsync_batch:
+        before = (self._size, self.appends, self._unsynced)
+        try:
+            self._size += append_record(self._handle, payload)
+            self.appends += 1
+            if self._fsync == "always":
                 self._sync()
+            elif self._fsync == "batch":
+                self._unsynced += 1
+                if self._unsynced >= self._fsync_batch:
+                    self._sync()
+        except BaseException:
+            self._size, self.appends, self._unsynced = before
+            try:
+                os.ftruncate(self._handle.fileno(), self._size)
+            except OSError as error:
+                self._truncate_error = error
+            raise
 
     def _sync(self) -> None:
         os.fsync(self._handle.fileno())
@@ -243,7 +266,6 @@ class WriteAheadLog:
 
     def sync(self) -> None:
         """Force an fsync regardless of policy (checkpoint/close path)."""
-        self._handle.flush()
         self._sync()
 
     def trim_through(self, version: int) -> int:
@@ -254,7 +276,6 @@ class WriteAheadLog:
         the new trimmed one — both replay to the same store on top of the
         checkpoint that triggered the trim.
         """
-        self._handle.flush()
         records, _, _ = self.read(self._path)
         retained = [(v, delta) for v, delta in records if v > version]
         tmp = self._path + ".tmp"
@@ -267,16 +288,15 @@ class WriteAheadLog:
         self._handle.close()
         os.rename(tmp, self._path)
         fsync_dir(os.path.dirname(os.path.abspath(self._path)))
-        self._handle = open(self._path, "ab")
+        self._handle = open(self._path, "ab", buffering=0)
         self._size = self._handle.tell()
         self._unsynced = 0
         return len(retained)
 
     def close(self) -> None:
-        """Flush, fsync (unless ``off``) and close the log (idempotent)."""
+        """Fsync (unless ``off``) and close the log (idempotent)."""
         if self._handle.closed:
             return
-        self._handle.flush()
         if self._fsync != "off":
             os.fsync(self._handle.fileno())
         self._handle.close()

@@ -58,14 +58,6 @@ def _keeps_node_order(node_remap: np.ndarray | None) -> bool:
     return kept.size <= 1 or bool(np.all(np.diff(kept) > 0))
 
 
-def _inverse_origin(edge_origin: np.ndarray, old_edge_count: int) -> np.ndarray:
-    """Invert a patch's ``edge_origin``: old edge id -> new edge id or ``-1``."""
-    inverse = np.full(old_edge_count, -1, dtype=np.int64)
-    carried = edge_origin >= 0
-    inverse[edge_origin[carried]] = np.nonzero(carried)[0]
-    return inverse
-
-
 @dataclass(frozen=True)
 class CSRSubgraph:
     """The result of :meth:`CSRGraph.edge_subgraph`.
@@ -116,32 +108,21 @@ class CSRPatch:
         ``int64`` array mapping old node ids to new node ids (``-1`` for
         removed nodes), or ``None`` when the node set did not change (the
         identity mapping).
+    new_of_old:
+        ``int64`` array of length ``m`` of the old snapshot: the inverse of
+        ``edge_origin``, mapping each old edge id to its new edge id or
+        ``-1`` if the delta removed it.
     """
 
     csr: "CSRGraph"
     edge_origin: np.ndarray
     removed_edge_ids: np.ndarray
     node_remap: np.ndarray | None
+    new_of_old: np.ndarray
 
-    @property
-    def old_edge_count(self) -> int:
-        """The edge count of the snapshot the delta was applied to.
-
-        Every old edge either survived (it appears in ``edge_origin``) or
-        was removed (it appears in ``removed_edge_ids``), so the old count
-        is recoverable from the patch alone.
-        """
-        return int((self.edge_origin >= 0).sum()) + int(self.removed_edge_ids.size)
-
-    def new_ids_of_old(self, old_edge_count: int | None = None) -> np.ndarray:
-        """Return the inverse mapping: old edge id -> new edge id or ``-1``.
-
-        ``old_edge_count`` defaults to :attr:`old_edge_count`; passing it
-        explicitly just skips the recount.
-        """
-        if old_edge_count is None:
-            old_edge_count = self.old_edge_count
-        return _inverse_origin(self.edge_origin, old_edge_count)
+    def new_ids_of_old(self) -> np.ndarray:
+        """Return the inverse mapping: old edge id -> new edge id or ``-1``."""
+        return self.new_of_old
 
     def inserted_edge_ids(self) -> np.ndarray:
         """Return the new edge ids the delta inserted, in ascending order."""
@@ -155,7 +136,7 @@ class CSRPatch:
         monotonic — always, except when adding a label flips the node sort
         into its ``repr`` fallback.  Consumers transplanting whole per-edge
         structures (:func:`repro.graph.csr_triangles.patch_incidence`) use
-        this to skip re-canonicalization on the common path.
+        this to splice them instead of re-canonicalizing.
         """
         return _keeps_node_order(self.node_remap)
 
@@ -362,11 +343,13 @@ class CSRGraph:
         num_old_nodes = self.number_of_nodes()
         num_old_edges = self.number_of_edges()
         if delta.is_empty():
+            identity = np.arange(num_old_edges, dtype=np.int64)
             return CSRPatch(
                 csr=self,
-                edge_origin=np.arange(num_old_edges, dtype=np.int64),
+                edge_origin=identity,
                 removed_edge_ids=np.zeros(0, dtype=np.int64),
                 node_remap=None,
+                new_of_old=identity,
             )
 
         removed_nodes = delta.removed_nodes
@@ -497,8 +480,12 @@ class CSRGraph:
             raise GraphError("delta produced an asymmetric adjacency structure")
 
         # --- adjacency rows and their slot edge ids --------------------
-        # Each old slot's new edge id, or -1 where its edge was removed.
-        carried = _inverse_origin(edge_origin, num_old_edges)[self.slot_edge]
+        # Old edge id -> new edge id, and each old slot's new edge id; -1
+        # where the edge was removed.
+        new_of_old = np.full(num_old_edges, -1, dtype=np.int64)
+        survived = edge_origin >= 0
+        new_of_old[edge_origin[survived]] = np.flatnonzero(survived)
+        carried = new_of_old[self.slot_edge]
         if node_remap is None:
             new_indices, new_slot_edge = self._fill_rows_fast(
                 new_indptr, carried, edge_keys, drop_neighbors, insert_neighbors
@@ -524,6 +511,7 @@ class CSRGraph:
             edge_origin=edge_origin,
             removed_edge_ids=removed_ids,
             node_remap=node_remap,
+            new_of_old=new_of_old,
         )
 
     def _edited_row(

@@ -110,13 +110,17 @@ def _incidence_from_triangles(edges: np.ndarray, num_edges: int) -> TriangleInci
     )
     inc_indptr = np.zeros(num_edges + 1, dtype=np.int64)
     np.cumsum(counts, out=inc_indptr[1:])
-    # Triangle order within an edge's incidence list is irrelevant (the peel
-    # treats it as a set), so pick the cheapest grouping sort: 2-pass radix
-    # on a narrowed key when edge ids fit 16 bits, unstable introsort above.
-    if num_edges <= np.iinfo(np.uint16).max:
-        order = np.argsort(flat.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(flat)
+    # Group the entries by edge with a *stable* sort, so every row lists its
+    # triangles by (corner, triangle id): part of the contract, because
+    # patch_incidence splices rows in that order.  numpy radix-sorts 16-bit
+    # keys, so edge ids are sorted one 16-bit digit at a time, least
+    # significant first: one pass up to 65,536 edges, two up to 2**32.
+    order = np.argsort(flat.astype(np.uint16), kind="stable")
+    shift = 16
+    while (num_edges - 1) >> shift > 0:
+        digit = (flat[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
     inc_triangles = (order % num_triangles) if num_triangles else order
     return TriangleIncidence(
         edges=edges,
@@ -311,82 +315,186 @@ def patch_incidence(
     same triangle array (content *and* order), supports, and incidence CSR —
     but is assembled locally instead of re-enumerating the graph:
 
-    1. triangles incident to a removed edge are dropped with one gather over
-       the removed edges' incidence rows (the same gather the incremental
-       truss update uses for deletion seeding);
-    2. surviving triangles' corner edge ids are remapped through the patch's
-       old↔new edge correspondence (a pure gather when the patch preserves
-       edge order, a per-row re-canonicalization otherwise);
-    3. the triangles the delta *created* — each contains at least one
+    1. the triangles *lost* to the delta are the ones incident to a removed
+       edge: one gather over the removed edges' incidence rows (the same
+       gather the incremental truss update uses for deletion seeding);
+    2. the triangles the delta *created* — each contains at least one
        inserted edge — are enumerated via local ``searchsorted``
        intersections on the inserted edges' rows only;
-    4. the two sorted runs are merged positionally and the supports /
-       incidence CSR are re-derived from the merged triangle array by the
-       same deterministic assembly a fresh enumeration uses.
+    3. when the patch keeps edge order (every edge-only delta and every
+       monotone node remap, see :meth:`CSRPatch.preserves_edge_order`), the
+       old structure is spliced: each old triangle id maps to its new id
+       through offsets that change only at the lost ids and where fresh
+       rows go in, the surviving rows are block-copied through the patch's
+       edge map with the fresh rows inserted, per-edge supports become
+       carried support − lost + fresh, and the incidence rows are one
+       gather of the old entries through the triangle map with the lost
+       entries dropped and each fresh entry inserted at its
+       ``(corner, triangle id)`` rank in its edge's row;
+    4. otherwise (a node remap that flips the ids into ``repr`` order), the
+       survivors' remapped rows are re-canonicalized, merged with the fresh
+       rows, and handed to the same assembly a fresh enumeration uses.
 
-    The per-patch cost is proportional to the surviving triangle count plus
-    the touched rows' degrees — never to the size of the graph's candidate
-    pair set, which is what full enumeration scans.
+    The splice's per-patch cost is a few linear passes over the triangle
+    array and the incidence entries plus work proportional to the delta's
+    touched rows — no sort over all ``3T`` entries, and never the graph's
+    candidate pair set, which full enumeration scans.
 
     ``new_csr`` defaults to ``patch.csr``; passing it explicitly merely
     documents which snapshot the result belongs to.
     """
     if new_csr is None:
         new_csr = patch.csr
-    if (
-        patch.node_remap is None
-        and not patch.removed_edge_ids.size
-        and not (patch.edge_origin < 0).any()
-    ):
-        return incidence  # empty delta: the structure is exactly current
-    num_new_edges = new_csr.number_of_edges()
-
-    # (1) drop every triangle that lost a corner to the deletion batch
-    if patch.removed_edge_ids.size and incidence.num_triangles:
-        lost = incidence.triangles_of_edges(patch.removed_edge_ids)
-        keep = np.ones(incidence.num_triangles, dtype=bool)
-        keep[lost] = False
-        surviving = incidence.edges[keep]
-    else:
-        surviving = incidence.edges
-
-    # (2) remap the survivors' corner edge ids into the new id space
-    surviving = patch.new_ids_of_old(int(incidence.supports.size))[surviving]
-    if surviving.size and not patch.preserves_edge_order():
-        # A non-monotonic node remap reorders edge ids, so both the corner
-        # order within each row and the row order must be re-canonicalized.
-        surviving.sort(axis=1)
-        order = np.argsort(
-            surviving[:, 0] * num_new_edges + surviving[:, 1], kind="stable"
-        )
-        surviving = surviving[order]
-
-    # (3) enumerate only the triangles the inserted edges created
     inserted = patch.inserted_edge_ids()
+    if patch.node_remap is None and not patch.removed_edge_ids.size and not inserted.size:
+        return incidence  # empty delta: the structure is exactly current
+
+    if patch.removed_edge_ids.size and incidence.num_triangles:
+        lost = np.unique(incidence.triangles_of_edges(patch.removed_edge_ids))
+    else:
+        lost = np.zeros(0, dtype=np.int64)
     fresh = (
         _triangles_of_edges_local(new_csr, inserted)
         if inserted.size
         else np.zeros((0, 3), dtype=np.int64)
     )
+    # The surviving rows, remapped to new edge ids (flat, three per row).
+    surviving = np.take(patch.new_ids_of_old(), incidence.edges.ravel())
+    if lost.size:
+        surviving = np.delete(surviving, (3 * lost[:, None] + np.arange(3)).ravel())
+    surviving = surviving.reshape(-1, 3)
+    if patch.preserves_edge_order():
+        return _splice_incidence(incidence, patch, lost, surviving, fresh)
 
-    # (4) positional merge of two disjoint sorted runs (survivors contain no
-    # inserted edge as their lowest corner pair; fresh ones always do)
-    if not fresh.size:
-        merged = surviving
-    elif not surviving.size:
-        merged = fresh
-    else:
-        surv_keys = surviving[:, 0] * num_new_edges + surviving[:, 1]
-        fresh_keys = fresh[:, 0] * num_new_edges + fresh[:, 1]
-        slots = np.searchsorted(surv_keys, fresh_keys) + np.arange(
-            fresh_keys.size, dtype=np.int64
-        )
-        merged = np.empty((surviving.shape[0] + fresh.shape[0], 3), dtype=np.int64)
-        gaps = np.ones(merged.shape[0], dtype=bool)
-        gaps[slots] = False
-        merged[slots] = fresh
-        merged[gaps] = surviving
-    return _incidence_from_triangles(np.ascontiguousarray(merged), num_new_edges)
+    # A non-monotonic node remap reorders edge ids, so both the corner order
+    # within each row and the row order must be re-canonicalized.
+    num_new_edges = new_csr.number_of_edges()
+    surviving.sort(axis=1)
+    order = np.argsort(surviving[:, 0] * num_new_edges + surviving[:, 1], kind="stable")
+    _, merged = _merge_fresh_rows(np.take(surviving, order, axis=0), fresh)
+    return _incidence_from_triangles(merged, num_new_edges)
+
+
+def _merge_fresh_rows(
+    surviving: np.ndarray, fresh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two disjoint canonical triangle runs; return ``(before, merged)``.
+
+    ``before[j]`` is the number of surviving rows that precede fresh row
+    ``j``.  Both runs are C-contiguous ``(T, 3)`` arrays sorted by row;
+    viewing each row as one record of three ``int64`` fields makes
+    ``searchsorted`` compare rows lexicographically, with no key array
+    built over the survivors.
+    """
+    record = np.dtype([("e0", np.int64), ("e1", np.int64), ("e2", np.int64)])
+    before = np.searchsorted(
+        surviving.view(record).ravel(), np.ascontiguousarray(fresh).view(record).ravel()
+    )
+    merged = np.insert(surviving.ravel(), np.repeat(3 * before, 3), fresh.ravel())
+    return before, merged.reshape(-1, 3)
+
+
+def _splice_incidence(
+    incidence: TriangleIncidence,
+    patch: CSRPatch,
+    lost: np.ndarray,
+    surviving: np.ndarray,
+    fresh: np.ndarray,
+) -> TriangleIncidence:
+    """Splice ``incidence`` across an order-preserving patch (step 3 above).
+
+    ``lost`` holds the sorted old ids of the lost triangles, ``surviving``
+    the other old rows remapped to new edge ids (still canonical and in
+    order, because the edge map is monotone), ``fresh`` the created rows.
+    """
+    num_new_edges = patch.csr.number_of_edges()
+    num_old = incidence.num_triangles
+    before, edges = _merge_fresh_rows(surviving, fresh)
+    fresh_ids = before + np.arange(before.size, dtype=np.int64)
+
+    # Old triangle id -> new id: an offset that steps down after each lost
+    # id and up at each fresh row's splice point; -1 for the lost ids.
+    # Survivor ``i`` has old id ``i + #{k : lost[k] - k <= i}``.
+    spliced_at = before + np.searchsorted(lost - np.arange(lost.size), before, side="right")
+    points = np.concatenate([lost + 1, spliced_at])
+    steps = np.concatenate([np.full(lost.size, -1), np.ones(before.size, dtype=np.int64)])
+    order = np.argsort(points, kind="stable")
+    offsets = np.zeros(points.size + 1, dtype=np.int64)
+    np.cumsum(steps[order], out=offsets[1:])
+    tri_map = np.repeat(offsets, np.diff(points[order], prepend=0, append=num_old))
+    tri_map += np.arange(num_old, dtype=np.int64)
+    tri_map[lost] = -1
+
+    # Supports: carried support - lost + fresh, per edge (an inserted
+    # edge's origin, -1, reads the appended 0).
+    lost_corners = patch.new_ids_of_old()[incidence.edges[lost].ravel()]
+    supports = (
+        np.take(np.append(incidence.supports, 0), patch.edge_origin)
+        - np.bincount(lost_corners[lost_corners >= 0], minlength=num_new_edges)
+        + np.bincount(fresh.ravel(), minlength=num_new_edges)
+    )
+    inc_indptr = np.zeros(num_new_edges + 1, dtype=np.int64)
+    np.cumsum(supports, out=inc_indptr[1:])
+
+    # Surviving entries: every old entry through the triangle map, lost ones
+    # dropped.  Rows stay in edge order and, within a row, in (corner,
+    # triangle id) order, because both maps are monotone.
+    entries = np.take(tri_map, incidence.inc_triangles)
+    if lost.size:
+        entries = entries[entries >= 0]
+    if fresh_ids.size:
+        slots, values = _fresh_entry_slots(edges, fresh, fresh_ids, entries, inc_indptr)
+        entries = np.insert(entries, slots, values)
+    return TriangleIncidence(
+        edges=edges, supports=supports, inc_indptr=inc_indptr, inc_triangles=entries
+    )
+
+
+def _fresh_entry_slots(
+    edges: np.ndarray,
+    fresh: np.ndarray,
+    fresh_ids: np.ndarray,
+    entries: np.ndarray,
+    inc_indptr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return where each fresh incidence entry goes into ``entries``, and its value.
+
+    ``entries`` holds the surviving incidence rows; ``inc_indptr`` is the
+    final row layout, fresh entries included.  A fresh entry of edge ``e``
+    goes in at its ``(corner, triangle id)`` rank among ``e``'s surviving
+    entries.  Only the rows that receive fresh entries are read: their
+    surviving entries are gathered, given their corners and keyed ``(row,
+    corner, triangle id)`` — ascending along the gather — so one
+    ``searchsorted`` ranks every fresh entry.  The entries come back sorted
+    by that key, so fresh entries bound for one slot (the end of one row
+    and the start of the next, say) go in in row order.
+    """
+    num_triangles = edges.shape[0]
+    rows, fresh_row = np.unique(fresh.ravel(), return_inverse=True)
+    row_stride = 3 * num_triangles
+    fresh_keys = np.sort(
+        fresh_row * row_stride
+        + np.tile(np.arange(3, dtype=np.int64), fresh_ids.size) * num_triangles
+        + np.repeat(fresh_ids, 3)
+    )
+    fresh_row = fresh_keys // row_stride
+
+    # Each touched row's surviving entries: where they start in ``entries``
+    # (the row's final start less the fresh entries of earlier rows) and
+    # how many there are.
+    fresh_before = np.searchsorted(fresh_row, np.arange(rows.size + 1))
+    starts = inc_indptr[rows] - fresh_before[:-1]
+    counts = inc_indptr[rows + 1] - inc_indptr[rows] - np.diff(fresh_before)
+    offsets = np.cumsum(counts) - counts
+    total = int(offsets[-1] + counts[-1])
+    gather = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+    owner = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+    tri = entries[gather]
+    # Triangle rows are sorted, so an edge's corner is the count of smaller ids.
+    corner = (edges[tri] < rows[owner][:, None]).sum(axis=1)
+    surv_keys = owner * row_stride + corner * num_triangles + tri
+    slots = starts[fresh_row] + np.searchsorted(surv_keys, fresh_keys) - offsets[fresh_row]
+    return slots, fresh_keys % num_triangles
 
 
 def triangle_nodes(csr: CSRGraph, incidence: TriangleIncidence | None = None) -> np.ndarray:

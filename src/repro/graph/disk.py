@@ -28,6 +28,7 @@ store recoverable:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -71,10 +72,13 @@ def append_record(handle, payload: bytes) -> int:
     The single-write discipline is load-bearing: it guarantees a crashed
     append can only leave a *prefix* of the record on disk (the torn-tail
     shape :func:`scan_records` repairs), never a record-sized hole in the
-    middle of the log.  Returns the number of bytes written.
+    middle of the log.  A short write (possible on an unbuffered handle)
+    raises ``OSError``.  Returns the number of bytes written.
     """
     record = pack_record(payload)
-    handle.write(record)
+    written = handle.write(record)
+    if written != len(record):
+        raise OSError(errno.EIO, f"short write: {written} of {len(record)} record bytes")
     return len(record)
 
 

@@ -219,7 +219,7 @@ def incremental_truss_update(
     # Deletion pass: seed with surviving edges that lost a triangle.
     # ------------------------------------------------------------------
     if patch.removed_edge_ids.size:
-        new_of_old = patch.new_ids_of_old(old_csr.number_of_edges())
+        new_of_old = patch.new_ids_of_old()
         if incidence is not None:
             # Every triangle lost to the deletion batch is incident to some
             # removed edge; its (surviving) corner edges are the seeds.

@@ -482,6 +482,58 @@ class TestFailedAppend:
         finally:
             recovered.close()
 
+    def test_failed_fsync_leaves_no_record(self, tmp_path, monkeypatch):
+        """An append whose fsync fails takes its record back out of the log.
+
+        Left in, the record would share its version with the next append,
+        and both the checkpoint's WAL trim and recovery would refuse the log
+        as non-contiguous.
+        """
+        config = _config(tmp_path, fsync="always")
+        engine = CTCEngine(complete_graph(5), durability=config)
+        engine.snapshot()
+        wal_bytes = os.path.getsize(config.wal_path)
+        fsync = os.fsync
+        calls = []
+
+        def fsync_failing_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "Input/output error")
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        with pytest.raises(OSError):
+            engine.add_edge(10, 11)
+        assert os.path.getsize(config.wal_path) == wal_bytes
+        assert not engine.graph.has_node(10)
+
+        engine.remove_edge(2, 3)
+        engine.checkpoint()
+        engine.close()
+        recovered = CTCEngine.recover(config)
+        try:
+            assert recovered.graph == engine.graph
+            assert recovered.version == engine.version
+            _assert_snapshots_identical(engine.snapshot(), recovered.snapshot())
+        finally:
+            recovered.close()
+
+    def test_untruncatable_failed_append_refuses_later_appends(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(os.fspath(tmp_path / "wal.log"), fsync="always")
+
+        def fail(*args):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        monkeypatch.setattr(os, "ftruncate", fail)
+        with pytest.raises(OSError):
+            wal.append(1, GraphDelta(added_edges=[(0, 1)]))
+        monkeypatch.undo()
+        with pytest.raises(WalCorruptionError, match="refuses further appends"):
+            wal.append(1, GraphDelta(added_edges=[(0, 1)]))
+        wal.close()
+
     def test_failed_expiry_append_keeps_the_edge_in_the_window(self, tmp_path, monkeypatch):
         config = _config(tmp_path)
         engine = SlidingWindowEngine(window=3, durability=config)

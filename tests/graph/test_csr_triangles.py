@@ -193,6 +193,24 @@ class TestAdversarialCases:
         if expected_triangles == 0:
             assert not incidence.supports.any()
 
+    def test_rows_list_triangles_in_stable_order_above_16_bit_edge_ids(self):
+        """Each incidence row lists its triangles by (corner, triangle id).
+
+        :func:`~repro.graph.csr_triangles.patch_incidence` splices rows in
+        that order, so it must hold at every size, including past 65,535
+        edges, where the edge ids no longer fit one 16-bit sort key:
+        7,000 disjoint K5 give 70,000 edges, each in three triangles.
+        """
+        graph = UndirectedGraph()
+        for offset in range(0, 35_000, 5):
+            for a in range(5):
+                for b in range(a + 1, 5):
+                    graph.add_edge(offset + a, offset + b)
+        incidence = csr_triangle_incidence(CSRGraph.from_graph(graph))
+        assert incidence.supports.size == 70_000
+        order = np.argsort(incidence.edges.ravel(order="F"), kind="stable")
+        assert np.array_equal(incidence.inc_triangles, order % incidence.num_triangles)
+
     def test_disconnected_components_enumerate_independently(self):
         graph = UndirectedGraph()
         for offset in (0, 10):  # two disjoint K4s

@@ -10,6 +10,10 @@ contract across random delta chains (the engine's forward path), inverted
 deltas (time-travel backward replay), and FIFO window-expiry streams (the
 sliding-window engine's workload), always chaining the *patched* structure
 forward so each step also proves the previous output was a valid base.
+Each delta of a chain composes one to four operations, as the engine
+composes the mutations between two reads, and a ``str`` label added to an
+``int`` graph flips its node ids into ``repr`` order: the one patch that
+reorders edge ids, which re-canonicalizes instead of splicing.
 """
 
 from __future__ import annotations
@@ -53,14 +57,31 @@ def base_graphs(draw):
     return complete_graph(draw(st.integers(min_value=3, max_value=8)))
 
 
-mutation_streams = st.lists(
-    st.tuples(
-        st.sampled_from(["add_edge", "remove_edge", "remove_node", "add_node"]),
-        st.integers(min_value=0, max_value=10_000),
+#: Streams of batches: each batch of one to four operations is chained into
+#: one delta.  ``add_label_node`` adds a ``str`` label.
+batched_streams = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add_edge", "remove_edge", "remove_node", "add_node", "add_label_node"]
+            ),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1,
+        max_size=4,
     ),
     min_size=1,
-    max_size=12,
+    max_size=8,
 )
+
+
+def _sorted_labels(items):
+    """Sort like :meth:`CSRGraph.from_graph`: by value, by ``repr`` if mixed."""
+    items = list(items)
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 def _next_delta(graph, op, pick):
@@ -69,7 +90,8 @@ def _next_delta(graph, op, pick):
     Mirrors what the engine's mutation methods record; returns ``None``
     when the drawn operation is a no-op on the current graph.
     """
-    nodes = sorted(graph.nodes())
+    nodes = _sorted_labels(graph.nodes())
+    fresh = 1 + max((node for node in nodes if isinstance(node, int)), default=0)
     if op == "add_edge":
         absent = [
             (u, v)
@@ -77,13 +99,13 @@ def _next_delta(graph, op, pick):
             for v in nodes[i + 1:]
             if not graph.has_edge(u, v)
         ]
-        absent.append((nodes[pick % len(nodes)], max(nodes) + 1 + pick % 7))
+        absent.append((nodes[pick % len(nodes)], fresh + pick % 7))
         u, v = absent[pick % len(absent)]
         added_nodes = [x for x in (u, v) if not graph.has_node(x)]
         graph.add_edge(u, v)
         return GraphDelta(added_nodes=added_nodes, added_edges=[(u, v)])
     if op == "remove_edge":
-        edges = sorted(graph.edges())
+        edges = _sorted_labels(graph.edges())
         if not edges:
             return None
         u, v = edges[pick % len(edges)]
@@ -96,9 +118,22 @@ def _next_delta(graph, op, pick):
         incident = [(node, other) for other in graph.neighbors(node)]
         graph.remove_node(node)
         return GraphDelta(removed_nodes=[node], removed_edges=incident)
-    node = max(nodes) + 500 + pick % 13
+    if op == "add_label_node":
+        label, other = f"n{pick % 13}", nodes[pick % len(nodes)]
+        if graph.has_node(label):
+            return None
+        graph.add_edge(label, other)
+        return GraphDelta(added_nodes=[label], added_edges=[(label, other)])
+    node = fresh + 499 + pick % 13
     graph.add_node(node)
     return GraphDelta(added_nodes=[node])
+
+
+def _batched_deltas(graph, stream):
+    """Yield one chained delta per batch of ``stream``, mutating ``graph``."""
+    for batch in stream:
+        deltas = [_next_delta(graph, op, pick) for op, pick in batch]
+        yield GraphDelta.chain(delta for delta in deltas if delta is not None)
 
 
 def assert_incidence_identical(
@@ -115,30 +150,24 @@ def assert_incidence_identical(
 
 class TestForwardChains:
     @common_settings
-    @given(graph=base_graphs(), stream=mutation_streams)
+    @given(graph=base_graphs(), stream=batched_streams)
     def test_patched_incidence_is_bit_identical_along_chains(self, graph, stream):
         """Each patched structure == fresh enumeration, then becomes the base."""
         csr = CSRGraph.from_graph(graph)
         incidence = csr_triangle_incidence(csr)
-        for op, pick in stream:
-            delta = _next_delta(graph, op, pick)
-            if delta is None:
-                continue
+        for delta in _batched_deltas(graph, stream):
             patch = csr.apply_delta(delta)
             incidence = patch_incidence(incidence, patch)
             csr = patch.csr
             assert_incidence_identical(incidence, csr_triangle_incidence(csr))
 
     @common_settings
-    @given(graph=base_graphs(), stream=mutation_streams)
+    @given(graph=base_graphs(), stream=batched_streams)
     def test_patched_supports_feed_truss_invariants(self, graph, stream):
         """The patched incidence keeps the structural invariants intact."""
         csr = CSRGraph.from_graph(graph)
         incidence = csr_triangle_incidence(csr)
-        for op, pick in stream:
-            delta = _next_delta(graph, op, pick)
-            if delta is None:
-                continue
+        for delta in _batched_deltas(graph, stream):
             patch = csr.apply_delta(delta)
             incidence = patch_incidence(incidence, patch)
             csr = patch.csr
@@ -161,20 +190,37 @@ class TestForwardChains:
         patch = csr.apply_delta(GraphDelta())
         assert patch_incidence(incidence, patch) is incidence
 
+    def test_fresh_entries_of_consecutive_edges_share_a_splice_point(self):
+        """Fresh entries bound for one slot go in in edge order.
+
+        Completing K4 from the triangle {0, 1, 2} plus the edge (2, 3)
+        numbers the edges (0,1)=0, (0,2)=1, (0,3)=2*, (1,2)=3, (1,3)=4*,
+        (2,3)=5 (* inserted) and the triangles t0=(0,1,3) (the survivor),
+        t1=(0,2,4), t2=(1,2,5), t3=(3,4,5).  Edge 2 has no surviving entry
+        and edge 3's fresh t3 (corner 0) ranks before its surviving t0
+        (corner 2), so both rows' fresh entries land on one splice point:
+        ordered by (corner, triangle) alone, t3 would precede t1 and t2.
+        """
+        graph = complete_graph(3)
+        graph.add_edge(2, 3)
+        csr = CSRGraph.from_graph(graph)
+        patch = csr.apply_delta(GraphDelta(added_edges=[(0, 3), (1, 3)]))
+        patched = patch_incidence(csr_triangle_incidence(csr), patch)
+        assert_incidence_identical(patched, csr_triangle_incidence(patch.csr))
+        start, stop = patched.inc_indptr[2], patched.inc_indptr[4]
+        assert patched.inc_triangles[start:stop].tolist() == [1, 2, 3, 0]
+
 
 class TestInvertedDeltas:
     @common_settings
-    @given(graph=base_graphs(), stream=mutation_streams)
+    @given(graph=base_graphs(), stream=batched_streams)
     def test_backward_replay_restores_the_original_arrays(self, graph, stream):
         """Patching by ``delta.inverted()`` is the time-travel read path."""
         csr = CSRGraph.from_graph(graph)
         origin = csr_triangle_incidence(csr)
         incidence = origin
         deltas = []
-        for op, pick in stream:
-            delta = _next_delta(graph, op, pick)
-            if delta is None:
-                continue
+        for delta in _batched_deltas(graph, stream):
             deltas.append(delta)
             patch = csr.apply_delta(delta)
             incidence = patch_incidence(incidence, patch)
