@@ -40,7 +40,7 @@ from repro.graph.delta import GraphDelta
 from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.index import TrussIndex
 
-__version__ = "1.8.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -125,7 +125,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.csr_triangles import TriangleIncidence, patch_incidence
 from repro.graph.delta import GraphDelta
 from repro.graph.simple_graph import UndirectedGraph
-from repro.trusses.csr_decomposition import csr_decompose, csr_edge_supports
+from repro.trusses.csr_decomposition import csr_decompose
 from repro.trusses.incremental import incremental_truss_update
 
 if TYPE_CHECKING:
@@ -162,30 +162,24 @@ class EngineSnapshot:
     The eagerly built attributes are the array replica — ``csr`` (the
     frozen CSR form) and ``trussness`` (the per-edge-id trussness array
     the incremental maintenance of the *next* delta apply consumes).
-    ``graph`` (a private frozen dict-form copy, never mutated) is handed
-    over by a full rebuild; every other snapshot — delta-built, recovered,
-    seeded from shared memory — is built with ``graph=None`` and thaws it
-    from ``csr`` on first access.  Everything derived for query execution
-    is **lazy**:
+    Everything else is **lazy**:
 
+    * :attr:`graph` — the dict-form store at this version, thawed from
+      ``csr`` on first access whatever built the snapshot (full rebuild,
+      delta apply, recovered checkpoint, shared-memory seed);
     * :attr:`kernel` — the :class:`~repro.ctc.kernels.QueryKernel` every
       CTC query runs on, memoized so its sorted-adjacency arrays amortize
-      across every query on this version;
-    * :attr:`supports` — the per-edge-id triangle counts; a full rebuild
-      hands them over from the decomposition (which computes them anyway)
-      and a delta apply from the patched incidence, so consumers no longer
-      re-count supports a second time.
+      across every query on this version.
 
-    ``incidence`` is the triangle-incidence structure of this snapshot: a
-    vector-strategy full rebuild enumerates it, a delta apply *patches* the
-    base snapshot's forward via
+    ``incidence`` is the triangle-incidence structure of this snapshot
+    (per-edge supports included): a vector-strategy full rebuild
+    enumerates it, a delta apply *patches* the base snapshot's forward via
     :func:`~repro.graph.csr_triangles.patch_incidence`, and a kernel that
     had to enumerate one lazily (bucket-path snapshots) adopts it back onto
     the snapshot — so once any snapshot in a delta chain holds an
     incidence, every patched descendant inherits it without re-enumerating.
     The CSR-native LCTC kernel re-decomposes its local expansions on
-    restrictions of it, and the next delta apply seeds its deletion pass
-    from it and reads it for triangle lookups.
+    restrictions of it.
 
     Once built, every lazy structure is cached and — like the snapshot
     itself — immutable by contract.  ``on_enumerate`` is the engine's
@@ -195,9 +189,10 @@ class EngineSnapshot:
     kernel-side enumerations.
 
     Nothing a snapshot owns refers back to it (the kernel reaches it
-    through a weak reference), so an evicted snapshot is freed by
-    reference counting the moment its last reader lets go, not at the
-    next cyclic collection.
+    through a weak reference), and the engine's ``on_enumerate`` hook holds
+    the engine only weakly, so an evicted snapshot — and a dropped engine —
+    is freed by reference counting the moment its last reader lets go, not
+    at the next cyclic collection.
     """
 
     __slots__ = (
@@ -206,7 +201,6 @@ class EngineSnapshot:
         "csr",
         "trussness",
         "incidence",
-        "_supports",
         "_kernel",
         "_on_enumerate",
         "_lazy_lock",
@@ -216,20 +210,17 @@ class EngineSnapshot:
     def __init__(
         self,
         version: int,
-        graph: UndirectedGraph | None,
         csr: CSRGraph,
         trussness: np.ndarray,
         *,
-        supports: np.ndarray | None = None,
         incidence: TriangleIncidence | None = None,
         on_enumerate=None,
     ) -> None:
         self.version = version
-        self._graph = graph
+        self._graph: UndirectedGraph | None = None
         self.csr = csr
         self.trussness = trussness
         self.incidence = incidence
-        self._supports = supports
         self._kernel: "QueryKernel | None" = None
         self._on_enumerate = on_enumerate
         #: Serializes the lazy builds below so concurrent readers of one
@@ -240,12 +231,9 @@ class EngineSnapshot:
     def graph(self) -> UndirectedGraph:
         """The snapshot's frozen dict-form store (never mutated).
 
-        Delta-built snapshots and those seeded straight from frozen arrays
-        — a recovered checkpoint, a serving worker's shared-memory baseline
-        — are built with ``graph=None`` and thaw the dict form from
-        :attr:`csr` on first access, so array-kernel consumers never pay
-        the O(m) Python reconstruction.  A thawed graph holds the same
-        nodes and edges as the store at this version, inserted in
+        Thawed from :attr:`csr` on first access, so array-kernel consumers
+        never pay the O(m) Python reconstruction.  A thawed graph holds the
+        same nodes and edges as the store at this version, inserted in
         :attr:`csr` label order rather than the store's.
         """
         if self._graph is None:
@@ -266,20 +254,6 @@ class EngineSnapshot:
         with self._lazy_lock:
             if self.incidence is None:
                 self.incidence = incidence
-                if self._supports is None:
-                    self._supports = incidence.supports
-
-    @property
-    def supports(self) -> np.ndarray:
-        """Per-edge-id triangle counts, shared from the build when available."""
-        if self._supports is None:
-            with self._lazy_lock:
-                if self._supports is None:
-                    if self.incidence is not None:
-                        self._supports = self.incidence.supports
-                    else:
-                        self._supports = csr_edge_supports(self.csr)
-        return self._supports
 
     @property
     def kernel(self) -> "QueryKernel":
@@ -326,6 +300,26 @@ def _incidence_adopter(snapshot: EngineSnapshot):
             note()
 
     return adopt
+
+
+def _enumeration_counter(engine: "CTCEngine"):
+    """Return the hook that counts a full triangle enumeration for ``engine``.
+
+    It holds the engine weakly.  A bound method would close an engine ->
+    cache -> snapshot -> engine cycle, and a dropped engine — its store and
+    every cached snapshot — would then wait for the cyclic collector: in
+    the benchmark suite's ``durable`` workload (2-core host), the closed
+    engines of its five cold starts held 110-165 MB that way.
+    """
+    ref = weakref.ref(engine)
+
+    def note() -> None:
+        target = ref()
+        if target is not None:
+            with target._mutex:
+                target.stats.incidence_enumerations += 1
+
+    return note
 
 
 @dataclass
@@ -512,6 +506,9 @@ class CTCEngine:
         #: concurrent misses on one version build it exactly once.
         self._building: dict[int, threading.Event] = {}
         self.stats = EngineStats()
+        #: Counts one full triangle enumeration; every snapshot gets it as
+        #: its ``on_enumerate`` hook.
+        self._note_enumeration = _enumeration_counter(self)
         #: A frozen CSR the mutable store can be thawed from on demand;
         #: set by :meth:`recover`/:meth:`from_arrays` so cold starts skip
         #: the O(m) Python graph reconstruction until a mutation (or a
@@ -540,7 +537,6 @@ class CTCEngine:
         csr: CSRGraph,
         trussness: np.ndarray | None = None,
         *,
-        supports: np.ndarray | None = None,
         incidence: TriangleIncidence | None = None,
         **kwargs,
     ) -> "CTCEngine":
@@ -550,10 +546,12 @@ class CTCEngine:
         worker attaches the parent's shared-memory CSR buffers
         (:meth:`CSRGraph.from_shared`) and hands them here.  The mutable
         store is thawed via :meth:`CSRGraph.to_graph`; when ``trussness`` is
-        given, the already-decomposed artifacts seed the version-0 snapshot
-        so the worker's first queries skip the from-scratch decomposition
-        entirely.  The arrays may be read-only (shared) views — snapshots
-        never mutate them.
+        given, the already-decomposed artifacts — ``trussness`` and the
+        optional triangle ``incidence`` — seed the version-0 snapshot so the
+        worker's first queries skip the from-scratch decomposition entirely.
+        Like every snapshot, the seeded one thaws its dict-form graph from
+        ``csr`` only on first access.  The arrays may be read-only (shared)
+        views — snapshots never mutate them.
 
         On :class:`CTCEngine` itself (not subclasses, whose constructors
         derive bookkeeping from the store) the mutable dict-form store is
@@ -576,10 +574,8 @@ class CTCEngine:
         if trussness is not None:
             seeded = EngineSnapshot(
                 version=0,
-                graph=None if lazy else engine._graph.copy(),
                 csr=csr,
                 trussness=trussness,
-                supports=supports,
                 incidence=incidence,
                 on_enumerate=engine._note_enumeration,
             )
@@ -834,10 +830,8 @@ class CTCEngine:
                 base_version = checkpoint.version
                 seeded = EngineSnapshot(
                     version=checkpoint.version,
-                    graph=None,  # thawed from csr on demand
                     csr=checkpoint.csr,
                     trussness=checkpoint.trussness,
-                    supports=checkpoint.supports,
                     incidence=checkpoint.incidence,
                     on_enumerate=engine._note_enumeration,
                 )
@@ -914,9 +908,18 @@ class CTCEngine:
         served straight from the cache — see :meth:`lease`).
         """
         with self._mutex:
-            if self._delta_log:
-                return next(iter(self._delta_log)) - 1, self._version
-            return self._version, self._version
+            return self._log_floor(), self._version
+
+    def _log_floor(self) -> int:
+        """The oldest version the delta log reaches back to (call under the mutex).
+
+        The log is contiguous up to the current version, so unwinding it
+        stops one version before its oldest entry; an empty log reaches
+        only the current version.
+        """
+        if self._delta_log:
+            return next(iter(self._delta_log)) - 1
+        return self._version
 
     def snapshot_at(
         self, version: int | None = None, *, timeout: float | None = None
@@ -970,13 +973,9 @@ class CTCEngine:
                     self.stats.hits += 1
                     self._cache.move_to_end(target)
                     return cached
-                if target != self._version:
-                    if self._delta_log:
-                        oldest = next(iter(self._delta_log)) - 1
-                    else:
-                        oldest = self._version
-                    if target < oldest:
-                        raise VersionEvictedError(target, (oldest, self._version))
+                floor = self._log_floor()
+                if target < floor:
+                    raise VersionEvictedError(target, (floor, self._version))
                 event = self._building.get(target)
                 builder = event is None
                 if builder:
@@ -984,12 +983,10 @@ class CTCEngine:
                     self._building[target] = event
                     self.stats.misses += 1
                     current = target == self._version
-                    frozen: UndirectedGraph | None = None
-                    if current:
-                        base = self._delta_base(target)
-                    else:
+                    if not current:
                         self.stats.time_travel_reads += 1
-                        base = self._temporal_base(target)
+                    base = self._delta_base(target)
+                    frozen: UndirectedGraph | None = None
                     if base is None:
                         # Freeze the store under the mutex; decompose outside.
                         self._ensure_store()
@@ -1114,65 +1111,47 @@ class CTCEngine:
             overflow -= 1
 
     def _delta_base(self, version: int) -> tuple[EngineSnapshot, GraphDelta] | None:
-        """Return the newest cached snapshot the policy allows patching from.
+        """Return the cached snapshot to patch ``version`` from, with its delta.
+
+        Serves current and time-travel reads alike.  Cached bases are
+        visited nearest to ``version`` first, the older of two equally near
+        ones first.  From an older base the logged deltas are composed
+        forward; from a newer one their inverses are composed newest-first
+        (backward replay).  Bases the log no longer reaches are skipped,
+        and the first base whose composed delta fits the
+        ``delta_threshold`` budget (relative to the base's edge count) wins.
+        For a current read every base is older, so this is the newest
+        reachable base that fits.  An older base composes strictly more
+        mutations, but cancellation (remove + re-add) can still shrink the
+        net delta, so a base too large does not end the search.
 
         ``None`` means full rebuild: the cache is cold, the log no longer
-        covers the gap, or the composed delta is too large relative to the
-        base snapshot for patching to win.
+        reaches any cached base, or every composed delta is too large for
+        patching to win.
         """
-        if self._delta_threshold <= 0 or not self._delta_log_limit:
+        if self._delta_threshold <= 0:
             return None
-        for base_version in sorted(self._cache, reverse=True):
-            if base_version >= version:
-                continue
-            deltas = []
-            for step in range(base_version + 1, version + 1):
-                delta = self._delta_log.get(step)
-                if delta is None:
-                    # The log window no longer reaches this base; older
-                    # bases need strictly more entries, so stop looking.
-                    return None
-                deltas.append(delta)
-            composed = GraphDelta.chain(deltas)
-            base = self._cache[base_version]
-            budget = self._delta_threshold * max(1, base.csr.number_of_edges())
-            if composed.size() <= budget:
-                return base, composed
-            # Too large from this base; an older base composes strictly more
-            # mutations, but cancellation (remove + re-add) can still shrink
-            # the net delta, so keep looking.
-        return None
-
-    def _temporal_base(self, version: int) -> tuple[EngineSnapshot, GraphDelta] | None:
-        """Return the cheapest cached snapshot a pinned read can replay from.
-
-        Unlike :meth:`_delta_base`, bases on *both* sides of ``version``
-        qualify: older ones compose log deltas forward, newer ones compose
-        the inverted deltas newest-first (backward replay).  Among the bases
-        whose composed delta fits the ``delta_threshold`` budget, the one
-        with the smallest composed delta wins; ``None`` means no cached base
-        qualifies and the caller must rebuild from the unwound store.
-        """
-        if self._delta_threshold <= 0 or not self._delta_log_limit:
-            return None
-        best: tuple[EngineSnapshot, GraphDelta] | None = None
-        for base_version, base in self._cache.items():
-            if base_version == version:
-                continue
-            older, newer = sorted((base_version, version))
-            deltas = [self._delta_log.get(step) for step in range(older + 1, newer + 1)]
-            if any(delta is None for delta in deltas):
-                continue
+        floor = self._log_floor()
+        bases = sorted(
+            [
+                (abs(base_version - version), base_version)
+                for base_version in self._cache
+                if base_version >= floor and base_version != version
+            ]
+        )
+        for _, base_version in bases:
             if base_version < version:
-                composed = GraphDelta.chain(deltas)
+                steps = range(base_version + 1, version + 1)
+                composed = GraphDelta.chain(self._delta_log[step] for step in steps)
             else:
-                composed = GraphDelta.chain(delta.inverted() for delta in reversed(deltas))
-            budget = self._delta_threshold * max(1, base.csr.number_of_edges())
-            if composed.size() > budget:
-                continue
-            if best is None or composed.size() < best[1].size():
-                best = (base, composed)
-        return best
+                steps = range(base_version, version, -1)
+                composed = GraphDelta.chain(
+                    self._delta_log[step].inverted() for step in steps
+                )
+            base = self._cache[base_version]
+            if composed.size() <= self._delta_threshold * max(1, base.csr.number_of_edges()):
+                return base, composed
+        return None
 
     def _graph_at(self, version: int) -> UndirectedGraph:
         """Return a private copy of the store's graph as of ``version``.
@@ -1194,10 +1173,11 @@ class CTCEngine:
         historical one); the decomposition here runs without any lock.
         Runs triangle enumeration + decomposition once via
         :func:`~repro.trusses.csr_decomposition.csr_decompose` (which picks
-        its strategy by edge count) and hands every artifact of the pass —
-        trussness, supports, and the triangle incidence when the vector
-        strategy enumerated one — to the snapshot, so nothing is computed
-        twice downstream.
+        its strategy by edge count) and hands the snapshot the trussness
+        and, when the vector strategy enumerated one, the triangle
+        incidence, so nothing is computed twice downstream.  ``frozen``
+        itself is not kept: once the CSR is built it is garbage, and the
+        snapshot thaws its own dict form from the CSR if a consumer asks.
         """
         csr = CSRGraph.from_graph(frozen)
         result = csr_decompose(csr)
@@ -1205,42 +1185,36 @@ class CTCEngine:
             self._note_enumeration()
         return EngineSnapshot(
             version=version,
-            graph=frozen,
             csr=csr,
             trussness=result.trussness,
-            supports=result.supports,
             incidence=result.incidence,
             on_enumerate=self._note_enumeration,
         )
-
-    def _note_enumeration(self) -> None:
-        """Count one full triangle enumeration (see :class:`EngineStats`)."""
-        with self._mutex:
-            self.stats.incidence_enumerations += 1
 
     def _build_from_delta(
         self, base: EngineSnapshot, delta: GraphDelta, version: int
     ) -> EngineSnapshot:
         """Patch ``base`` with ``delta``: the incremental leg of the pipeline.
 
-        The new snapshot gets no dict-form graph; it thaws one from its CSR
-        on demand.
+        The CSR is patched by :meth:`CSRGraph.apply_delta`, the base's
+        triangle incidence (if any) is carried forward by
+        :func:`~repro.graph.csr_triangles.patch_incidence` for the new
+        snapshot's kernel, and :func:`incremental_truss_update` maintains
+        the trussness with its own adjacency-map triangle walk.
         """
         if delta.is_empty():
             # Mutations cancelled out (e.g. an edge removed and re-added):
             # the base snapshot's content is exactly current, so every
-            # derived structure (kernel, supports) can be shared as-is.  The
-            # graph cell is shared as it stands, so an unthawed base stays
-            # unthawed.
+            # derived structure can be shared as-is.  The graph cell is
+            # shared as it stands, so an unthawed base stays unthawed.
             clone = EngineSnapshot(
                 version=version,
-                graph=base._graph,
                 csr=base.csr,
                 trussness=base.trussness,
-                supports=base._supports,
                 incidence=base.incidence,
                 on_enumerate=self._note_enumeration,
             )
+            clone._graph = base._graph
             clone._kernel = base._kernel
             return clone
 
@@ -1248,24 +1222,15 @@ class CTCEngine:
         incidence: TriangleIncidence | None = None
         if base.incidence is not None:
             # Carry the triangle incidence across the patch so the csr
-            # kernel of the new snapshot never re-enumerates (and the
-            # maintenance below reads triangles straight off it).
+            # kernel of the new snapshot never re-enumerates.
             incidence = patch_incidence(base.incidence, patch)
             with self._mutex:
                 self.stats.incidence_patches += 1
-        trussness = incremental_truss_update(
-            base.csr,
-            base.trussness,
-            patch,
-            incidence=base.incidence,
-            new_incidence=incidence,
-        )
+        trussness = incremental_truss_update(base.csr, base.trussness, patch)
         return EngineSnapshot(
             version=version,
-            graph=None,
             csr=patch.csr,
             trussness=trussness,
-            supports=incidence.supports if incidence is not None else None,
             incidence=incidence,
             on_enumerate=self._note_enumeration,
         )

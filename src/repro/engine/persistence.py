@@ -15,10 +15,11 @@ complementary artifacts that live together in one *data directory*:
     version-0 **bootstrap record** holding its initial graph, so recovery
     never depends on a checkpoint existing.
 ``checkpoint-<version>/`` — **atomic snapshot checkpoints**
-    A directory of ``np.save`` arrays (CSR buffers, trussness, supports,
-    triangle incidence), the pickled node labels, and a checksummed
-    manifest, staged in a temp directory and published by a single
-    ``os.rename`` (:func:`repro.graph.disk.publish_dir`).  Recovery reopens
+    A directory of ``np.save`` arrays (CSR buffers, trussness, and the
+    triangle incidence with its supports when the snapshot holds one), the
+    pickled node labels, and a checksummed manifest, staged in a temp
+    directory and published by a single ``os.rename``
+    (:func:`repro.graph.disk.publish_dir`).  Recovery reopens
     the arrays with ``np.load(mmap_mode="r")`` — the cold-start path skips
     the whole triangle-enumeration + peeling decomposition, which is what
     ``benchmarks/bench_recovery.py`` gates at >= 10x over a full rebuild.
@@ -370,13 +371,16 @@ class WriteAheadLog:
 
 @dataclass
 class LoadedCheckpoint:
-    """One verified checkpoint's artifacts, arrays memory-mapped read-only."""
+    """One verified checkpoint's artifacts, arrays memory-mapped read-only.
+
+    ``incidence`` is ``None`` when the checkpointed snapshot held none; the
+    per-edge supports travel only inside it.
+    """
 
     version: int
     path: str
     csr: CSRGraph
     trussness: np.ndarray
-    supports: np.ndarray
     incidence: TriangleIncidence | None
 
 
@@ -435,8 +439,8 @@ class CheckpointStore:
         csr = snapshot.csr
         arrays = {name: getattr(csr, name) for name in CSRGraph._SHARED_ARRAYS}
         arrays["trussness"] = snapshot.trussness
-        arrays["supports"] = snapshot.supports
         if snapshot.incidence is not None:
+            arrays["supports"] = snapshot.incidence.supports
             arrays["tri_edges"] = snapshot.incidence.edges
             arrays["inc_indptr"] = snapshot.incidence.inc_indptr
             arrays["inc_triangles"] = snapshot.incidence.inc_triangles
@@ -538,7 +542,6 @@ class CheckpointStore:
             path=directory,
             csr=csr,
             trussness=arrays["trussness"],
-            supports=arrays["supports"],
             incidence=incidence,
         )
 

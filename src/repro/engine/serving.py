@@ -17,8 +17,9 @@ adds the serving layer the ROADMAP's "millions of users" track calls for:
   component (:func:`~repro.graph.components.balanced_shards`; nodes first
   seen on a new edge fall back to a stable hash of the canonical edge
   key), and each shard is served by a worker process.  The parent exports
-  every shard's frozen CSR buffers — adjacency, per-edge trussness,
-  supports, triangle incidence — into ``multiprocessing.shared_memory``
+  every shard's frozen CSR buffers — adjacency, per-edge trussness, and
+  the triangle incidence with its supports — into
+  ``multiprocessing.shared_memory``
   (:meth:`~repro.graph.csr.CSRGraph.to_shared`), so workers map their
   snapshots zero-copy and skip the from-scratch decomposition entirely
   (:meth:`CTCEngine.from_arrays`).  Mutations are routed to the owning
@@ -395,21 +396,16 @@ def _shard_worker(
     bundle = SharedArrayBundle.attach(meta, untrack=untrack)
     try:
         csr = CSRGraph.from_shared(bundle)
-        supports = bundle["supports"]
         incidence = None
         if "inc_indptr" in bundle:
             incidence = TriangleIncidence(
                 edges=bundle["tri_edges"],
-                supports=supports,
+                supports=bundle["supports"],
                 inc_indptr=bundle["inc_indptr"],
                 inc_triangles=bundle["inc_triangles"],
             )
         engine = CTCEngine.from_arrays(
-            csr,
-            bundle["trussness"],
-            supports=supports,
-            incidence=incidence,
-            **engine_kwargs,
+            csr, bundle["trussness"], incidence=incidence, **engine_kwargs
         )
         for op_name, args in replay_ops:
             try:
@@ -610,7 +606,7 @@ class ServingEngine:
         csr = snapshot.csr
         #: Authoritative routing mirror: same content as the union of all
         #: shard stores, mutated in lock-step with the routed mutations.
-        self._mirror = snapshot.graph.copy()
+        self._mirror = csr.to_graph()
 
         shards = balanced_shards(self._mirror, self._workers)
         if not shards:
@@ -649,14 +645,12 @@ class ServingEngine:
                 # being in the shard implies the upper one is too.
                 shard_edges = np.nonzero(node_is_sharded[csr.edge_u])[0]
                 sub = csr.edge_subgraph(shard_edges, include_node_ids=node_ids)
-                extra = {
-                    "trussness": snapshot.trussness[sub.edge_origin],
-                    "supports": snapshot.supports[sub.edge_origin],
-                }
+                extra = {"trussness": snapshot.trussness[sub.edge_origin]}
                 if snapshot.incidence is not None:
                     shard_incidence = subset_incidence(
                         snapshot.incidence, sub.edge_origin
                     )
+                    extra["supports"] = shard_incidence.supports
                     extra["tri_edges"] = shard_incidence.edges
                     extra["inc_indptr"] = shard_incidence.inc_indptr
                     extra["inc_triangles"] = shard_incidence.inc_triangles

@@ -1,8 +1,8 @@
 """:class:`SharedArrayBundle`: named numpy arrays in POSIX shared memory.
 
 The process-mode serving layer (:mod:`repro.engine.serving`) ships frozen
-snapshot buffers — CSR adjacency, per-edge trussness/supports, triangle
-incidence — to worker processes.  Pickling those arrays over a pipe would
+snapshot buffers — CSR adjacency, per-edge trussness, triangle incidence
+— to worker processes.  Pickling those arrays over a pipe would
 copy megabytes per shard per snapshot; instead the parent publishes each
 array once into a :class:`multiprocessing.shared_memory.SharedMemory`
 block and sends only a small picklable *meta* descriptor.  Workers attach

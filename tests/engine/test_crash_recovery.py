@@ -113,7 +113,6 @@ def _assert_bit_identical(expected, actual) -> None:
     assert np.array_equal(expected.csr.edge_v, actual.csr.edge_v)
     assert expected.csr.labels() == actual.csr.labels()
     assert np.array_equal(expected.trussness, actual.trussness)
-    assert np.array_equal(expected.supports, actual.supports)
     incidence = (expected.incidence, actual.incidence)
     if None not in incidence:
         assert np.array_equal(expected.incidence.edges, actual.incidence.edges)

@@ -317,31 +317,16 @@ class TestDecompPipeline:
         engine = CTCEngine(erdos_renyi_graph(40, 0.4, seed=11))  # 294 edges
         snapshot = engine.snapshot()
         assert snapshot.incidence is not None
-        # No recount on access: the decomposition's own arrays are handed over.
-        assert snapshot.supports is snapshot.incidence.supports
         # The snapshot's kernel sees the incidence for LCTC local reuse.
         assert snapshot.kernel.incidence is snapshot.incidence
 
-    def test_bucket_build_has_supports_but_no_incidence(self):
+    def test_bucket_build_has_no_incidence(self):
         engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))  # 152 edges
         snapshot = engine.snapshot()
         assert snapshot.incidence is None
-        assert snapshot.supports.shape == (snapshot.csr.number_of_edges(),)
-
-    def test_delta_snapshot_computes_supports_lazily(self):
-        import numpy as np
-
-        from repro.trusses.csr_decomposition import csr_edge_supports
-
-        engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))
-        engine.snapshot()
-        engine.add_edge(990, 991)
-        patched = engine.snapshot()
-        assert engine.stats.delta_applies == 1
-        assert np.array_equal(patched.supports, csr_edge_supports(patched.csr))
 
     def test_incidence_seeded_deletions_match_full_rebuild(self):
-        """The delta path seeded from the retained incidence stays exact."""
+        """Deletions patched from a base that holds an incidence stay exact."""
         import numpy as np
 
         graph = erdos_renyi_graph(40, 0.4, seed=7)  # 344 edges: vector build

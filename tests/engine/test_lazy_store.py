@@ -1,9 +1,9 @@
-"""Delta-built snapshots thaw their dict-form graph lazily and free by refcount.
+"""Snapshots thaw their dict-form graph lazily and free by refcount.
 
-A delta apply hands the new snapshot no dict-form graph: the array kernels
-never read one, and :attr:`EngineSnapshot.graph` thaws it from the CSR the
-first time a dict consumer (the ``mdc``/``qdc`` baselines, a
-:class:`TrussIndex` built over it) asks.  The thawed graph inserts nodes in
+No build path — full rebuild or delta apply — hands a snapshot a dict-form
+graph: the array kernels never read one, and :attr:`EngineSnapshot.graph`
+thaws it from the CSR the first time a dict consumer (the ``mdc``/``qdc``
+baselines, a :class:`TrussIndex` built over it) asks.  The thawed graph inserts nodes in
 CSR label order, not store order, so these tests also pin that no answer
 depends on adjacency iteration order.
 
@@ -76,6 +76,13 @@ def _assert_consumers_match_fresh_index(snapshot, store) -> None:
 
 
 class TestLazyThaw:
+    def test_full_rebuild_builds_no_graph(self, engine):
+        snapshot = engine.snapshot()
+        assert engine.stats.full_rebuilds == 1
+        assert snapshot._graph is None
+        _assert_same_content(snapshot.graph, engine.graph)
+        _assert_consumers_match_fresh_index(snapshot, engine.graph)
+
     def test_delta_apply_builds_no_graph(self, engine):
         engine.snapshot()
         _mutate(engine)
@@ -177,6 +184,22 @@ class TestEvictionFreesByRefcount:
             assert engine.stats.evictions == 1
             assert snapshot_ref() is None
             assert trussness_ref() is None
+        finally:
+            gc.enable()
+
+    def test_dropped_engine_is_freed_without_the_cyclic_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            engine = CTCEngine(erdos_renyi_graph(40, 0.2, seed=11))
+            engine.query([0, 1])
+            engine.add_edge(0, 990)
+            engine.query([0, 1])
+            engine_ref = weakref.ref(engine)
+            snapshot_ref = weakref.ref(engine.snapshot())
+            del engine
+            assert engine_ref() is None
+            assert snapshot_ref() is None
         finally:
             gc.enable()
 

@@ -46,9 +46,11 @@ def _assert_snapshots_identical(expected, actual) -> None:
     assert np.array_equal(expected.csr.edge_v, actual.csr.edge_v)
     assert expected.csr.labels() == actual.csr.labels()
     assert np.array_equal(expected.trussness, actual.trussness)
-    assert np.array_equal(expected.supports, actual.supports)
     if expected.incidence is not None and actual.incidence is not None:
         assert np.array_equal(expected.incidence.edges, actual.incidence.edges)
+        assert np.array_equal(
+            expected.incidence.inc_indptr, actual.incidence.inc_indptr
+        )
         assert np.array_equal(
             expected.incidence.inc_triangles, actual.incidence.inc_triangles
         )

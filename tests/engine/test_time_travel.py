@@ -199,6 +199,17 @@ class TestReplayDirections:
         assert engine.stats.full_rebuilds == 1
         assert engine.stats.time_travel_reads == 1
 
+    def test_nearest_cached_base_wins_and_ties_go_older(self):
+        engine = CTCEngine(erdos_renyi_graph(25, 0.3, seed=4))
+        for version, edge in enumerate(sorted(engine.graph.edges())[:7], start=1):
+            engine.remove_edge(*edge)
+            if version in (2, 6, 7):
+                engine.snapshot()
+        assert engine.cached_versions() == [2, 6, 7]
+        assert engine._delta_base(4)[0].version == 2  # 2 and 6 equally near
+        assert engine._delta_base(5)[0].version == 6  # backward from 6, not forward from 2
+        assert engine._delta_base(3)[0].version == 2
+
     def test_pinned_reads_are_cached(self):
         engine = self._engine_with_history()
         first = engine.snapshot_at(1)

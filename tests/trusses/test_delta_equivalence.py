@@ -12,9 +12,13 @@ the dynamic setting.)
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.datasets.registry import load_dataset
 from repro.engine import CTCEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
@@ -23,7 +27,8 @@ from repro.graph.generators import (
     erdos_renyi_graph,
     relaxed_caveman_graph,
 )
-from repro.trusses.csr_decomposition import csr_truss_decomposition
+from repro.graph.keys import edge_key
+from repro.trusses.csr_decomposition import csr_decompose, csr_truss_decomposition
 from repro.trusses.incremental import incremental_truss_update
 from repro.trusses.index import TrussIndex
 
@@ -189,6 +194,56 @@ class TestCsrDeltaEquivalence:
         assert patched.labels() == fresh.labels()
         for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
             assert np.array_equal(getattr(patched, name), getattr(fresh, name)), name
+
+
+def _friend_of_friend_pairs(graph, count: int, rng: random.Random) -> list:
+    """``count`` distinct absent edges, each closing a path of length two."""
+    nodes = sorted(graph.nodes())
+    pairs: set = set()
+    while len(pairs) < count:
+        u = rng.choice(nodes)
+        neighbors = sorted(graph.neighbors(u))
+        if not neighbors:
+            continue
+        x = rng.choice(sorted(graph.neighbors(rng.choice(neighbors))))
+        if x != u and not graph.has_edge(u, x):
+            pairs.add(edge_key(u, x))
+    return sorted(pairs)
+
+
+class TestLargeBatches:
+    """One delta of hundreds of edges on the registry ``dblp-like`` graph.
+
+    The hypothesis suites above draw at most four operations per delta on
+    small graphs; these fixed cases run the update's deletion seeding and
+    its insertion pass at batch scale.
+    """
+
+    @pytest.fixture(scope="class")
+    def dblp(self):
+        graph = load_dataset("dblp-like").graph
+        csr = CSRGraph.from_graph(graph)
+        return graph, csr, csr_decompose(csr).trussness
+
+    @pytest.mark.parametrize(
+        "removals, inserts",
+        [(300, 0), (0, 300), (300, 300)],
+        ids=["remove-300", "insert-300", "mixed"],
+    )
+    def test_batch_matches_decomposition(self, dblp, removals, inserts):
+        graph, csr, trussness = dblp
+        rng = random.Random(removals + inserts)
+        edges = sorted(edge_key(u, v) for u, v in graph.edges())
+        delta = GraphDelta(
+            removed_edges=rng.sample(edges, removals),
+            added_edges=_friend_of_friend_pairs(graph, inserts, rng),
+        )
+        patch = csr.apply_delta(delta)
+        updated = incremental_truss_update(csr, trussness, patch)
+        assert np.array_equal(updated, csr_decompose(patch.csr).trussness)
+        # The batch moved surviving edges' trussness, so the passes did work.
+        carried = patch.edge_origin >= 0
+        assert (updated[carried] != trussness[patch.edge_origin[carried]]).any()
 
 
 def _edge_trussness(snapshot) -> dict:
