@@ -19,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_index, search
+from repro import build_engine, search
 from repro.ctc.free_rider import free_riders, retained_node_percentage
 from repro.datasets import CASE_STUDY_QUERY, build_collaboration_network
 
@@ -44,14 +44,14 @@ def main() -> None:
     print(f"query authors: {', '.join(CASE_STUDY_QUERY)}")
     print()
 
-    index = build_index(graph)
+    engine = build_engine(graph)
 
     # Figure 11(a): the raw maximal connected k-truss containing the query.
-    truss_result = search(index, list(CASE_STUDY_QUERY), method="truss")
+    truss_result = search(engine, list(CASE_STUDY_QUERY), method="truss")
     describe("G0 — maximal connected k-truss (Figure 11a)", truss_result)
 
     # Figure 11(b): the closest truss community found by LCTC.
-    lctc_result = search(index, list(CASE_STUDY_QUERY), method="lctc", eta=300)
+    lctc_result = search(engine, list(CASE_STUDY_QUERY), method="lctc", eta=300)
     describe("LCTC — closest truss community (Figure 11b)", lctc_result)
 
     print("community members found by LCTC:")

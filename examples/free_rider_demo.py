@@ -20,7 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_index, search
+from repro import build_engine, search
 from repro.ctc.free_rider import free_riders, retained_node_percentage
 from repro.datasets import ground_truth_query_sets, load_dataset
 from repro.graph.traversal import query_distances
@@ -33,19 +33,19 @@ def main() -> None:
         f"facebook-like network: {graph.number_of_nodes()} nodes, "
         f"{graph.number_of_edges()} edges\n"
     )
-    index = build_index(graph)
+    engine = build_engine(graph)
 
     # Pick a query from inside one planted community.
     (query, community), *_ = ground_truth_query_sets(network, 1, size_range=(3, 3), seed=11)
     print(f"query nodes: {sorted(query)} (drawn from a planted community of size {len(community)})\n")
 
-    reference = search(index, query, method="truss")
+    reference = search(engine, query, method="truss")
     print("[truss] the raw maximal connected k-truss G0")
     print(f"  trussness {reference.trussness}, nodes {reference.num_nodes}, "
           f"density {reference.density():.2f}, diameter {reference.diameter()}")
 
     for method in ("bulk-delete", "lctc"):
-        result = search(index, query, method=method, eta=200)
+        result = search(engine, query, method=method, eta=200)
         riders = free_riders(result.graph, reference.graph)
         kept = retained_node_percentage(result.graph, reference.graph)
         print(f"\n[{method}]")

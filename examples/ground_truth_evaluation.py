@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import build_index
+from repro import build_engine
 from repro.datasets import dataset_names, ground_truth_query_sets, load_dataset
 from repro.experiments.config import QUICK_CONFIG
 from repro.experiments.reporting import format_table
@@ -42,14 +42,14 @@ def main(argv: list[str]) -> int:
     )
     print(f"running {num_queries} query sets per method...\n")
 
-    index = build_index(graph)
+    engine = build_engine(graph)
     pairs = ground_truth_query_sets(network, num_queries, size_range=(1, 8), seed=42)
     queries = [query for query, _truth in pairs]
     truths = [truth for _query, truth in pairs]
 
     rows = []
     for method in METHODS:
-        run = run_method_on_queries(method, graph, index, queries, QUICK_CONFIG, eta=200)
+        run = run_method_on_queries(method, engine, queries, QUICK_CONFIG, eta=200)
         rows.append(
             {
                 "method": method,

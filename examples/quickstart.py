@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_index, search
+from repro import build_engine, search
 from repro.datasets import figure_1_graph, figure_1_query
 
 
@@ -25,13 +25,14 @@ def main() -> None:
     print(f"query: {query}")
     print()
 
-    # Build the truss index once; it can be reused for any number of queries.
-    index = build_index(graph)
-    print(f"truss index: max trussness = {index.max_trussness()}")
+    # Build the engine once: its cached snapshot (CSR arrays plus per-edge
+    # trussness) serves any number of queries, and survives mutations.
+    engine = build_engine(graph)
+    print(f"engine snapshot: max trussness = {int(engine.snapshot().trussness.max())}")
     print()
 
     for method in ("truss", "basic", "bulk-delete", "lctc"):
-        result = search(index, query, method=method, eta=50)
+        result = search(engine, query, method=method, eta=50)
         members = ", ".join(sorted(result.nodes, key=str))
         print(f"[{method}]")
         print(f"  trussness : {result.trussness}")

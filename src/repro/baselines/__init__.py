@@ -1,21 +1,18 @@
 """Baselines the paper compares against: Truss (G0 only), MDC and QDC."""
 
-from repro.baselines.mdc import MinimumDegreeCommunity, mdc_search
+from repro.baselines.mdc import MinimumDegreeCommunity
 from repro.baselines.triangle_connected import (
     TriangleConnectedCommunity,
     triangle_connected_classes,
 )
-from repro.baselines.qdc import QueryBiasedDensestCommunity, qdc_search, random_walk_proximity
-from repro.baselines.truss_only import TrussOnly, truss_only_search
+from repro.baselines.qdc import QueryBiasedDensestCommunity, random_walk_proximity
+from repro.baselines.truss_only import TrussOnly
 
 __all__ = [
     "TrussOnly",
-    "truss_only_search",
     "MinimumDegreeCommunity",
     "TriangleConnectedCommunity",
     "triangle_connected_classes",
-    "mdc_search",
     "QueryBiasedDensestCommunity",
-    "qdc_search",
     "random_walk_proximity",
 ]

@@ -25,7 +25,7 @@ from repro.graph.simple_graph import UndirectedGraph
 from repro.graph.traversal import graph_query_distance, query_distances
 from repro.trusses.extraction import validate_query
 
-__all__ = ["MinimumDegreeCommunity", "mdc_search"]
+__all__ = ["MinimumDegreeCommunity"]
 
 
 class MinimumDegreeCommunity:
@@ -137,16 +137,3 @@ class MinimumDegreeCommunity:
                 best_key = key
                 best_node = node
         return best_node
-
-
-def mdc_search(
-    graph: UndirectedGraph,
-    query: Sequence[Hashable],
-    distance_bound: int | None = 2,
-    size_bound: int | None = 200,
-) -> CommunityResult:
-    """Convenience wrapper around :class:`MinimumDegreeCommunity`."""
-    searcher = MinimumDegreeCommunity(
-        graph, distance_bound=distance_bound, size_bound=size_bound
-    )
-    return searcher.search(query)

@@ -30,7 +30,7 @@ from repro.graph.simple_graph import UndirectedGraph
 from repro.graph.traversal import graph_query_distance, query_distances
 from repro.trusses.extraction import validate_query
 
-__all__ = ["QueryBiasedDensestCommunity", "qdc_search", "random_walk_proximity"]
+__all__ = ["QueryBiasedDensestCommunity", "random_walk_proximity"]
 
 
 def random_walk_proximity(
@@ -186,18 +186,3 @@ class QueryBiasedDensestCommunity:
                 best_key = key
                 best_node = node
         return best_node
-
-
-def qdc_search(
-    graph: UndirectedGraph,
-    query: Sequence[Hashable],
-    restart_probability: float = 0.2,
-    neighborhood_bound: int | None = 3,
-) -> CommunityResult:
-    """Convenience wrapper around :class:`QueryBiasedDensestCommunity`."""
-    searcher = QueryBiasedDensestCommunity(
-        graph,
-        restart_probability=restart_probability,
-        neighborhood_bound=neighborhood_bound,
-    )
-    return searcher.search(query)

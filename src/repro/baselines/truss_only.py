@@ -18,7 +18,7 @@ from repro.graph.traversal import graph_query_distance
 from repro.trusses.extraction import find_maximal_connected_truss
 from repro.trusses.index import TrussIndex
 
-__all__ = ["TrussOnly", "truss_only_search"]
+__all__ = ["TrussOnly"]
 
 
 class TrussOnly:
@@ -50,10 +50,3 @@ class TrussOnly:
             elapsed_seconds=elapsed,
             iterations=0,
         )
-
-
-def truss_only_search(graph, query: Sequence[Hashable], index: TrussIndex | None = None) -> CommunityResult:
-    """Convenience wrapper building the index if needed."""
-    if index is None:
-        index = TrussIndex(graph)
-    return TrussOnly(index).search(query)

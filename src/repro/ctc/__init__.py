@@ -1,15 +1,15 @@
 """Closest Truss Community search: the paper's core contribution."""
 
 from repro.ctc.api import available_methods, build_index, search
-from repro.ctc.basic import BasicCTC, basic_ctc_search
-from repro.ctc.bulk_delete import BulkDeleteCTC, bulk_delete_ctc_search
+from repro.ctc.basic import BasicCTC
+from repro.ctc.bulk_delete import BulkDeleteCTC
 from repro.ctc.free_rider import (
     free_riders,
     retained_edge_percentage,
     retained_node_percentage,
     suffers_free_rider_effect,
 )
-from repro.ctc.local import DEFAULT_ETA, DEFAULT_GAMMA, LocalCTC, local_ctc_search
+from repro.ctc.local import DEFAULT_ETA, DEFAULT_GAMMA, LocalCTC
 from repro.ctc.query_distance import QueryDistanceSnapshot, compute_snapshot
 from repro.ctc.result import CommunityResult
 from repro.ctc.steiner import (
@@ -25,11 +25,8 @@ __all__ = [
     "available_methods",
     "CommunityResult",
     "BasicCTC",
-    "basic_ctc_search",
     "BulkDeleteCTC",
-    "bulk_delete_ctc_search",
     "LocalCTC",
-    "local_ctc_search",
     "DEFAULT_ETA",
     "DEFAULT_GAMMA",
     "QueryDistanceSnapshot",

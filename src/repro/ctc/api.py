@@ -49,8 +49,11 @@ def available_methods() -> tuple[str, ...]:
 def build_index(graph: UndirectedGraph) -> TrussIndex:
     """Build (and return) a truss index for ``graph``.
 
-    Exposed so applications issuing many queries against the same graph can
-    pay the decomposition cost once, exactly as the paper assumes.
+    The paper's Section 4.3 index: what Table 3 measures, and what the
+    dict-path algorithms read when :func:`search` is handed one.  Callers
+    issuing repeated queries against the same graph should use
+    :func:`build_engine` instead, whose cached snapshot serves every query
+    on the array kernels and survives mutations.
     """
     return TrussIndex(graph)
 
@@ -104,9 +107,10 @@ def search(
     Parameters
     ----------
     graph:
-        An :class:`UndirectedGraph` (an index is built on the fly — pay this
-        cost once per graph by preferring the alternatives for repeated
-        queries), a prebuilt :class:`TrussIndex`, a
+        An :class:`UndirectedGraph` (the CTC methods build an index on the
+        fly — pay this cost once per graph by preferring the alternatives
+        for repeated queries; ``mdc`` and ``qdc`` read the graph as is), a
+        prebuilt :class:`TrussIndex`, a
         :class:`~repro.engine.CTCEngine` (served from its cached snapshot),
         or a pinned :class:`~repro.engine.EngineSnapshot`.  Graphs and
         indexes run the dict-path algorithms; engines and snapshots run the
@@ -147,30 +151,33 @@ def search(
     # Imported lazily: repro.engine depends on this module for search().
     from repro.engine import CTCEngine, EngineSnapshot
 
+    if method not in available_methods():
+        raise ConfigurationError(
+            f"unknown method {method!r}; expected one of {available_methods()}"
+        )
     if at_version is not None and not isinstance(graph, CTCEngine):
         raise ConfigurationError(
             "at_version requires a CTCEngine input (only the engine's delta "
             "log can materialize historical versions)"
         )
-    # The CTC algorithm classes dispatch on what they are handed: an
-    # EngineSnapshot selects the CSR-native kernels, a TrussIndex the dict
-    # path (see repro.ctc.kernels.kernel_of).
     if isinstance(graph, CTCEngine):
-        target = graph.snapshot_at(at_version)
-    elif isinstance(graph, (TrussIndex, EngineSnapshot)):
-        target = graph
-    else:
-        target = TrussIndex(graph)
+        graph = graph.snapshot_at(at_version)
     if method in _BASELINE_METHODS:
-        # The baselines read only the frozen graph.
+        # The baselines read only the graph, so a plain one needs no index.
+        if isinstance(graph, (TrussIndex, EngineSnapshot)):
+            graph = graph.graph
         if method == "mdc":
             from repro.baselines.mdc import MinimumDegreeCommunity
 
-            return MinimumDegreeCommunity(target.graph).search(query)
+            return MinimumDegreeCommunity(graph).search(query)
         from repro.baselines.qdc import QueryBiasedDensestCommunity
 
-        return QueryBiasedDensestCommunity(target.graph).search(query)
+        return QueryBiasedDensestCommunity(graph).search(query)
 
+    # The CTC algorithm classes dispatch on what they are handed: an
+    # EngineSnapshot selects the CSR-native kernels, a TrussIndex the dict
+    # path (see repro.ctc.kernels.kernel_of).
+    target = graph if isinstance(graph, (TrussIndex, EngineSnapshot)) else TrussIndex(graph)
     if method == "basic":
         return BasicCTC(target, time_budget_seconds=time_budget_seconds).search(query)
     if method == "bulk-delete":
@@ -178,10 +185,6 @@ def search(
     if method == "lctc":
         searcher = LocalCTC(target, eta=eta, gamma=gamma, max_trussness_k=max_trussness_k)
         return searcher.search(query)
-    if method == "truss":
-        from repro.baselines.truss_only import TrussOnly
+    from repro.baselines.truss_only import TrussOnly
 
-        return TrussOnly(target).search(query)
-    raise ConfigurationError(
-        f"unknown method {method!r}; expected one of {available_methods()}"
-    )
+    return TrussOnly(target).search(query)

@@ -28,7 +28,7 @@ from repro.trusses.extraction import find_maximal_connected_truss
 from repro.trusses.index import TrussIndex
 from repro.trusses.maintenance import KTrussMaintainer
 
-__all__ = ["BasicCTC", "basic_ctc_search"]
+__all__ = ["BasicCTC"]
 
 
 class BasicCTC:
@@ -166,15 +166,3 @@ class BasicCTC:
         if snapshot.distances[farthest] <= 0:
             return set()
         return {farthest}
-
-
-def basic_ctc_search(
-    graph: UndirectedGraph,
-    query: Sequence[Hashable],
-    index: TrussIndex | None = None,
-    **kwargs,
-) -> CommunityResult:
-    """One-call convenience wrapper: build the index if needed and run ``Basic``."""
-    if index is None:
-        index = TrussIndex(graph)
-    return BasicCTC(index, **kwargs).search(query)

@@ -37,10 +37,9 @@ from collections.abc import Hashable, Sequence
 from repro.ctc.basic import BasicCTC
 from repro.ctc.kernels import bulk_delete_search as _kernel_bulk_delete_search
 from repro.ctc.query_distance import QueryDistanceSnapshot
-from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.index import TrussIndex
 
-__all__ = ["BulkDeleteCTC", "bulk_delete_ctc_search"]
+__all__ = ["BulkDeleteCTC"]
 
 
 class BulkDeleteCTC(BasicCTC):
@@ -124,17 +123,3 @@ class BulkDeleteCTC(BasicCTC):
             )
             victims = set(ranked[: self._batch_limit])
         return victims
-
-
-def bulk_delete_ctc_search(
-    graph: UndirectedGraph,
-    query: Sequence[Hashable],
-    index: TrussIndex | None = None,
-    **kwargs,
-) -> "CommunityResult":
-    """One-call convenience wrapper: build the index if needed and run ``BD``."""
-    from repro.ctc.result import CommunityResult  # noqa: F401 (typing convenience)
-
-    if index is None:
-        index = TrussIndex(graph)
-    return BulkDeleteCTC(index, **kwargs).search(query)

@@ -3,7 +3,8 @@
 Array twin of :mod:`repro.ctc.steiner` (Definition 7 + the
 Kou–Markowsky–Berman 2-approximation).  The expensive part — the
 threshold-sweep BFS that computes exact truss distances — runs as a scalar
-queue over the kernel's trussness-sorted rows with int ids; the KMB
+queue over the kernel's trussness-sorted rows with int ids, one sweep per
+source terminal rather than per terminal pair; the KMB
 scaffolding (metric closure, Kruskal passes, leaf pruning) stays
 structurally identical to the dict path, including its ``repr``-keyed sort
 orders, because LCTC's downstream expansion is order-sensitive: same
@@ -21,7 +22,7 @@ from repro.graph.components import UnionFind
 from repro.graph.keys import edge_key
 
 __all__ = [
-    "truss_distance_between",
+    "truss_distances_from",
     "build_truss_steiner_tree",
     "minimum_trussness_of_tree",
 ]
@@ -79,34 +80,40 @@ def _restricted_bfs_paths(
     return found
 
 
-def truss_distance_between(
-    kernel: QueryKernel, source: int, target: int, gamma: float
-) -> tuple[float, list[int] | None]:
-    """Return ``(truss distance, witness id path)`` between two node ids.
+def truss_distances_from(
+    kernel: QueryKernel, source: int, targets: list[int], gamma: float
+) -> dict[int, tuple[float, list[int]]]:
+    """Return ``{target: (truss distance, witness id path)}`` from ``source``.
 
     The threshold sweep over decreasing trussness levels is exact for the
-    min-bottleneck metric (see :mod:`repro.ctc.steiner`); returns
-    ``(inf, None)`` when the nodes are disconnected.
+    min-bottleneck metric (see :mod:`repro.ctc.steiner`).  One sweep serves
+    every target: each level runs one BFS towards the targets still able to
+    improve, cut off at the largest of their hop budgets.  A BFS tree up to
+    depth ``d`` does not depend on how much deeper the search may go, so
+    each target gets the value and witness path a sweep of its own would
+    return.  Targets the source cannot reach are left out.
     """
-    if source == target:
-        return 0.0, [source]
     tau_bar = kernel.max_trussness
-    best_value = _INF
-    best_path: list[int] | None = None
+    best: dict[int, tuple[float, list[int]]] = {}
+    active = set(targets)
     for threshold in kernel.levels:
         penalty = gamma * (tau_bar - threshold)
-        if best_path is not None and penalty + 1 >= best_value:
+        # A target stops once no shorter witness can beat its best value.
+        active = {
+            target for target in active
+            if target not in best or penalty + 1 < best[target][0]
+        }
+        if not active:
             break
-        cutoff = best_value - penalty if best_value < _INF else _INF
-        paths = _restricted_bfs_paths(kernel, source, {target}, threshold, cutoff)
-        path = paths.get(target)
-        if path is None:
-            continue
-        value = (len(path) - 1) + penalty
-        if value < best_value:
-            best_value = value
-            best_path = path
-    return best_value, best_path
+        cutoff = max(
+            best[target][0] - penalty if target in best else _INF for target in active
+        )
+        paths = _restricted_bfs_paths(kernel, source, active, threshold, cutoff)
+        for target, path in paths.items():
+            value = (len(path) - 1) + penalty
+            if target not in best or value < best[target][0]:
+                best[target] = (value, path)
+    return best
 
 
 def _edge_repr(kernel: QueryKernel, u: int, v: int) -> str:
@@ -134,12 +141,15 @@ def build_truss_steiner_tree(
     if len(terminals) == 1:
         return {terminals[0]}, set()
 
-    # Metric closure: truss distance + witness path for every terminal pair.
+    # Metric closure: truss distance + witness path for every terminal pair,
+    # one threshold sweep per source terminal.
     closure: dict[tuple[int, int], tuple[float, list[int], str]] = {}
-    for position, source in enumerate(terminals):
-        for target in terminals[position + 1:]:
-            value, path = truss_distance_between(kernel, source, target, gamma)
-            if path is not None:
+    for position, source in enumerate(terminals[:-1]):
+        targets = terminals[position + 1:]
+        reached = truss_distances_from(kernel, source, targets, gamma)
+        for target in targets:
+            if target in reached:
+                value, path = reached[target]
                 closure[(source, target)] = (value, path, _edge_repr(kernel, source, target))
 
     # Kruskal MST over the closure (sorted by distance, then key repr).

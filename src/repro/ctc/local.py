@@ -52,7 +52,7 @@ from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.extraction import find_maximal_connected_truss, validate_query
 from repro.trusses.index import TrussIndex
 
-__all__ = ["LocalCTC", "local_ctc_search", "DEFAULT_ETA", "DEFAULT_GAMMA"]
+__all__ = ["LocalCTC", "DEFAULT_ETA", "DEFAULT_GAMMA"]
 
 #: Default expansion budget; the paper tunes eta in [500, 2000] and settles on
 #: 1000 for the SNAP networks.  The synthetic stand-ins are smaller, so
@@ -203,18 +203,3 @@ class LocalCTC:
             return find_connected_truss_at_k(local_index, query_nodes, k)
         except NoCommunityFoundError:
             return fallback
-
-
-def local_ctc_search(
-    graph: UndirectedGraph,
-    query: Sequence[Hashable],
-    index: TrussIndex | None = None,
-    eta: int = DEFAULT_ETA,
-    gamma: float = DEFAULT_GAMMA,
-    max_trussness_k: int | None = None,
-) -> CommunityResult:
-    """One-call convenience wrapper: build the index if needed and run ``LCTC``."""
-    if index is None:
-        index = TrussIndex(graph)
-    searcher = LocalCTC(index, eta=eta, gamma=gamma, max_trussness_k=max_trussness_k)
-    return searcher.search(query)

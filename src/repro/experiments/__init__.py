@@ -13,7 +13,7 @@ from repro.experiments.figures import (
     vary_trussness_k,
 )
 from repro.experiments.reporting import format_series, format_table, render_report
-from repro.experiments.runner import MethodRun, make_searcher, run_method_on_queries
+from repro.experiments.runner import MethodRun, run_method_on_queries
 from repro.experiments.tables import (
     render_table2,
     render_table3,
@@ -39,7 +39,6 @@ __all__ = [
     "vary_eta",
     "vary_gamma",
     "MethodRun",
-    "make_searcher",
     "run_method_on_queries",
     "format_table",
     "format_series",

@@ -6,16 +6,21 @@ Every function returns a list of flat row dictionaries — one row per
 panels of the corresponding figure: query time, FRE-avoidance percentage and
 density for the efficiency figures; F1 / time / size for the ground-truth
 figure; diameter and trussness for the approximation figures.
+
+Each driver builds one :class:`~repro.engine.CTCEngine` per network and
+runs every method through :func:`~repro.ctc.api.search` on it, so the
+timed queries are the ones a production caller would run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Iterator, Sequence
 from typing import Any
 
 from repro.datasets.collaboration import CASE_STUDY_QUERY, build_collaboration_network
 from repro.datasets.queries import QueryWorkloadGenerator, ground_truth_query_sets
 from repro.datasets.registry import load_dataset
+from repro.engine import CTCEngine
 from repro.experiments.config import ExperimentConfig, QUICK_CONFIG
 from repro.experiments.runner import (
     MethodRun,
@@ -24,9 +29,9 @@ from repro.experiments.runner import (
     run_method_on_queries,
     score_against_ground_truth,
 )
+from repro.graph.simple_graph import UndirectedGraph
 from repro.metrics.approximation import diameter_bounds
 from repro.metrics.structure import community_statistics
-from repro.trusses.index import TrussIndex
 
 __all__ = [
     "vary_query_size",
@@ -47,33 +52,60 @@ DEFAULT_EFFICIENCY_METHODS = ("bulk-delete", "lctc")
 
 
 # ----------------------------------------------------------------------
-# Figures 5-6: varying the query size |Q|
+# Figures 5-10: one property of the query sets swept against Truss
 # ----------------------------------------------------------------------
-def vary_query_size(
-    dataset_name: str,
-    config: ExperimentConfig = QUICK_CONFIG,
-    methods: Sequence[str] = DEFAULT_EFFICIENCY_METHODS,
-) -> list[dict[str, Any]]:
-    """Reproduce Figure 5 (DBLP) / Figure 6 (Facebook): sweep |Q|.
+def _query_sets(
+    graph: UndirectedGraph, config: ExperimentConfig, axis: str
+) -> Iterator[tuple[int, list[list[Hashable]]]]:
+    """Yield ``(value, query sets)`` for every configured value of ``axis``.
 
-    For every query size, random query sets are generated and each method is
-    compared against the ``Truss`` reference on query time, the percentage of
-    ``G0`` nodes kept, and the community edge density.
+    ``axis`` is ``"query_size"``, ``"degree_rank"`` or ``"inter_distance"``.
+    Each value draws its query sets from a generator seeded with
+    ``config.seed + value``; a value with no query sets (no node pair at
+    that inter-distance, say) is skipped.
+    """
+    values = {
+        "query_size": config.query_sizes,
+        "degree_rank": config.degree_ranks,
+        "inter_distance": config.inter_distances,
+    }[axis]
+    for value in values:
+        generator = QueryWorkloadGenerator(graph, seed=config.seed + value)
+        if axis == "query_size":
+            queries = generator.random_queries(value, config.queries_per_point)
+        elif axis == "degree_rank":
+            queries = generator.degree_rank_queries(
+                value, config.default_query_size, config.queries_per_point
+            )
+        else:
+            queries = generator.inter_distance_queries(
+                value, config.default_query_size, config.queries_per_point
+            )
+        if queries:
+            yield value, queries
+
+
+def _efficiency_sweep(
+    dataset_name: str, config: ExperimentConfig, methods: Sequence[str], axis: str
+) -> list[dict[str, Any]]:
+    """Figures 5-10: sweep ``axis`` and compare each method with ``Truss``.
+
+    Per axis value, every method reports its query time, the percentage of
+    ``G0`` nodes it keeps (against the ``Truss`` run on the same query
+    sets) and its community edge density; a ``truss`` row closes the value.
     """
     network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
+    engine = CTCEngine(network.graph)
     rows: list[dict[str, Any]] = []
-    for query_size in config.query_sizes:
-        generator = QueryWorkloadGenerator(network.graph, seed=config.seed + query_size)
-        queries = generator.random_queries(query_size, config.queries_per_point)
-        reference = run_method_on_queries("truss", network.graph, index, queries, config)
+    for value, queries in _query_sets(network.graph, config, axis):
+        reference = run_method_on_queries("truss", engine, queries, config)
         for method in methods:
-            run = run_method_on_queries(method, network.graph, index, queries, config)
+            run = run_method_on_queries(method, engine, queries, config)
             panel = aggregate_percentage_and_density(run, reference)
             rows.append(
                 {
                     "dataset": dataset_name,
-                    "query_size": query_size,
+                    axis: value,
                     "method": method,
                     "time_s": panel["time_s"],
                     "percentage": panel["percentage"],
@@ -84,7 +116,7 @@ def vary_query_size(
         rows.append(
             {
                 "dataset": dataset_name,
-                "query_size": query_size,
+                axis: value,
                 "method": "truss",
                 "time_s": reference.mean_elapsed,
                 "percentage": 100.0,
@@ -95,98 +127,31 @@ def vary_query_size(
     return rows
 
 
-# ----------------------------------------------------------------------
-# Figures 7-8: varying the degree rank of the query nodes
-# ----------------------------------------------------------------------
+def vary_query_size(
+    dataset_name: str,
+    config: ExperimentConfig = QUICK_CONFIG,
+    methods: Sequence[str] = DEFAULT_EFFICIENCY_METHODS,
+) -> list[dict[str, Any]]:
+    """Reproduce Figure 5 (DBLP) / Figure 6 (Facebook): sweep |Q|."""
+    return _efficiency_sweep(dataset_name, config, methods, "query_size")
+
+
 def vary_degree_rank(
     dataset_name: str,
     config: ExperimentConfig = QUICK_CONFIG,
     methods: Sequence[str] = DEFAULT_EFFICIENCY_METHODS,
 ) -> list[dict[str, Any]]:
     """Reproduce Figure 7 (DBLP) / Figure 8 (Facebook): sweep the degree-rank bucket."""
-    network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
-    rows: list[dict[str, Any]] = []
-    for rank in config.degree_ranks:
-        generator = QueryWorkloadGenerator(network.graph, seed=config.seed + rank)
-        queries = generator.degree_rank_queries(
-            rank, config.default_query_size, config.queries_per_point
-        )
-        reference = run_method_on_queries("truss", network.graph, index, queries, config)
-        for method in methods:
-            run = run_method_on_queries(method, network.graph, index, queries, config)
-            panel = aggregate_percentage_and_density(run, reference)
-            rows.append(
-                {
-                    "dataset": dataset_name,
-                    "degree_rank": rank,
-                    "method": method,
-                    "time_s": panel["time_s"],
-                    "percentage": panel["percentage"],
-                    "density": panel["density"],
-                    "failures": run.failures,
-                }
-            )
-        rows.append(
-            {
-                "dataset": dataset_name,
-                "degree_rank": rank,
-                "method": "truss",
-                "time_s": reference.mean_elapsed,
-                "percentage": 100.0,
-                "density": reference.mean_density,
-                "failures": reference.failures,
-            }
-        )
-    return rows
+    return _efficiency_sweep(dataset_name, config, methods, "degree_rank")
 
 
-# ----------------------------------------------------------------------
-# Figures 9-10: varying the inter-distance of the query nodes
-# ----------------------------------------------------------------------
 def vary_inter_distance(
     dataset_name: str,
     config: ExperimentConfig = QUICK_CONFIG,
     methods: Sequence[str] = DEFAULT_EFFICIENCY_METHODS,
 ) -> list[dict[str, Any]]:
     """Reproduce Figure 9 (DBLP) / Figure 10 (Facebook): sweep the inter-distance l."""
-    network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
-    rows: list[dict[str, Any]] = []
-    for inter_distance in config.inter_distances:
-        generator = QueryWorkloadGenerator(network.graph, seed=config.seed + inter_distance)
-        queries = generator.inter_distance_queries(
-            inter_distance, config.default_query_size, config.queries_per_point
-        )
-        if not queries:
-            continue
-        reference = run_method_on_queries("truss", network.graph, index, queries, config)
-        for method in methods:
-            run = run_method_on_queries(method, network.graph, index, queries, config)
-            panel = aggregate_percentage_and_density(run, reference)
-            rows.append(
-                {
-                    "dataset": dataset_name,
-                    "inter_distance": inter_distance,
-                    "method": method,
-                    "time_s": panel["time_s"],
-                    "percentage": panel["percentage"],
-                    "density": panel["density"],
-                    "failures": run.failures,
-                }
-            )
-        rows.append(
-            {
-                "dataset": dataset_name,
-                "inter_distance": inter_distance,
-                "method": "truss",
-                "time_s": reference.mean_elapsed,
-                "percentage": 100.0,
-                "density": reference.mean_density,
-                "failures": reference.failures,
-            }
-        )
-    return rows
+    return _efficiency_sweep(dataset_name, config, methods, "inter_distance")
 
 
 # ----------------------------------------------------------------------
@@ -202,13 +167,11 @@ def case_study(config: ExperimentConfig = QUICK_CONFIG) -> list[dict[str, Any]]:
     paper can be compared against the stand-in network.
     """
     network = build_collaboration_network()
-    index = TrussIndex(network.graph)
+    engine = CTCEngine(network.graph)
     query = list(CASE_STUDY_QUERY)
 
-    truss_run = run_method_on_queries("truss", network.graph, index, [query], config)
-    lctc_run = run_method_on_queries(
-        "lctc", network.graph, index, [query], config, eta=config.lctc_eta
-    )
+    truss_run = run_method_on_queries("truss", engine, [query], config)
+    lctc_run = run_method_on_queries("lctc", engine, [query], config)
 
     rows: list[dict[str, Any]] = []
     for label, run in (("truss-G0", truss_run), ("lctc", lctc_run)):
@@ -250,14 +213,14 @@ def ground_truth_quality(
     rows: list[dict[str, Any]] = []
     for dataset_name in dataset_names:
         network = load_dataset(dataset_name)
-        index = TrussIndex(network.graph)
+        engine = CTCEngine(network.graph)
         pairs = ground_truth_query_sets(
             network, config.ground_truth_queries, size_range=(1, 8), seed=config.seed
         )
         queries = [query for query, _truth in pairs]
         truths = [truth for _query, truth in pairs]
         for method in methods:
-            run = run_method_on_queries(method, network.graph, index, queries, config)
+            run = run_method_on_queries(method, engine, queries, config)
             rows.append(
                 {
                     "dataset": dataset_name,
@@ -287,17 +250,11 @@ def approximation_quality(
     other methods are reported against those bounds.
     """
     network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
+    engine = CTCEngine(network.graph)
     rows: list[dict[str, Any]] = []
-    for inter_distance in config.inter_distances:
-        generator = QueryWorkloadGenerator(network.graph, seed=config.seed + inter_distance)
-        queries = generator.inter_distance_queries(
-            inter_distance, config.default_query_size, config.queries_per_point
-        )
-        if not queries:
-            continue
+    for inter_distance, queries in _query_sets(network.graph, config, "inter_distance"):
         runs: dict[str, MethodRun] = {
-            method: run_method_on_queries(method, network.graph, index, queries, config)
+            method: run_method_on_queries(method, engine, queries, config)
             for method in methods
         }
         reference = runs.get("basic") or next(iter(runs.values()))
@@ -359,7 +316,7 @@ def vary_trussness_k(
     non-trivial and the sweep over k is meaningful.
     """
     network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
+    engine = CTCEngine(network.graph)
     pairs = ground_truth_query_sets(
         network,
         config.queries_per_point,
@@ -367,15 +324,13 @@ def vary_trussness_k(
         seed=config.seed,
     )
     queries = [query for query, _truth in pairs]
-    reference = run_method_on_queries("basic", network.graph, index, queries, config)
+    reference = run_method_on_queries("basic", engine, queries, config)
     lower_bounds = [
         diameter_bounds(result)[0] for result in reference.results if result is not None
     ]
     rows: list[dict[str, Any]] = []
     for level in config.trussness_levels:
-        run = run_method_on_queries(
-            "lctc", network.graph, index, queries, config, max_trussness_k=level
-        )
+        run = run_method_on_queries("lctc", engine, queries, config, max_trussness_k=level)
         rows.append(
             {
                 "dataset": dataset_name,
@@ -400,7 +355,7 @@ def _lctc_sensitivity(
     values: Sequence[Any],
 ) -> list[dict[str, Any]]:
     network = load_dataset(dataset_name)
-    index = TrussIndex(network.graph)
+    engine = CTCEngine(network.graph)
     pairs = ground_truth_query_sets(
         network, config.ground_truth_queries, size_range=(2, 4), seed=config.seed
     )
@@ -408,8 +363,7 @@ def _lctc_sensitivity(
     truths = [truth for _query, truth in pairs]
     rows: list[dict[str, Any]] = []
     for value in values:
-        kwargs = {parameter_name: value}
-        run = run_method_on_queries("lctc", network.graph, index, queries, config, **kwargs)
+        run = run_method_on_queries("lctc", engine, queries, config, **{parameter_name: value})
         rows.append(
             {
                 "dataset": dataset_name,

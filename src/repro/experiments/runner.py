@@ -3,9 +3,9 @@
 Each figure of the paper reports, for one network, one or more *panels*
 (query time, FRE-avoidance percentage, density, F1, diameter, ...) as a
 function of one swept parameter, averaged over a workload of query sets.
-:func:`run_method_on_queries` executes one (method, workload) cell and
-returns the aggregate; the figure drivers in :mod:`repro.experiments.figures`
-assemble cells into the paper's panels.
+:func:`run_method_on_queries` executes one (method, workload) cell through
+:func:`~repro.ctc.api.search` and returns the aggregate; the figure drivers
+in :mod:`repro.experiments.figures` assemble cells into the paper's panels.
 """
 
 from __future__ import annotations
@@ -13,26 +13,21 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
-from collections.abc import Callable, Hashable, Sequence
-from typing import Any
+from collections.abc import Hashable, Sequence
+from typing import TYPE_CHECKING, Any
 
-from repro.baselines.mdc import MinimumDegreeCommunity
-from repro.baselines.qdc import QueryBiasedDensestCommunity
-from repro.baselines.truss_only import TrussOnly
-from repro.ctc.basic import BasicCTC
-from repro.ctc.bulk_delete import BulkDeleteCTC
-from repro.ctc.local import LocalCTC
+from repro.ctc.api import search
 from repro.ctc.result import CommunityResult
-from repro.exceptions import NoCommunityFoundError, QueryError, ReproError
+from repro.exceptions import NoCommunityFoundError, QueryError
 from repro.experiments.config import ExperimentConfig
-from repro.graph.simple_graph import UndirectedGraph
 from repro.metrics.quality import f1_score
 from repro.metrics.structure import percentage_retained
-from repro.trusses.index import TrussIndex
+
+if TYPE_CHECKING:
+    from repro.engine import CTCEngine
 
 __all__ = [
     "MethodRun",
-    "make_searcher",
     "run_method_on_queries",
     "aggregate_percentage_and_density",
     "score_against_ground_truth",
@@ -109,57 +104,39 @@ class MethodRun:
         }
 
 
-def make_searcher(
-    method: str,
-    graph: UndirectedGraph,
-    index: TrussIndex,
-    config: ExperimentConfig,
-    eta: int | None = None,
-    gamma: float | None = None,
-    max_trussness_k: int | None = None,
-) -> Callable[[Sequence[Hashable]], CommunityResult]:
-    """Return a ``query -> CommunityResult`` callable for the named method."""
-    if method == "basic":
-        return BasicCTC(index, time_budget_seconds=config.time_budget_seconds).search
-    if method == "bulk-delete":
-        return BulkDeleteCTC(index, time_budget_seconds=config.time_budget_seconds).search
-    if method == "lctc":
-        searcher = LocalCTC(
-            index,
-            eta=eta if eta is not None else config.lctc_eta,
-            gamma=gamma if gamma is not None else config.lctc_gamma,
-            max_trussness_k=max_trussness_k,
-        )
-        return searcher.search
-    if method == "truss":
-        return TrussOnly(index).search
-    if method == "mdc":
-        return MinimumDegreeCommunity(graph).search
-    if method == "qdc":
-        return QueryBiasedDensestCommunity(graph).search
-    raise ReproError(f"unknown method {method!r}")
-
-
 def run_method_on_queries(
     method: str,
-    graph: UndirectedGraph,
-    index: TrussIndex,
+    target: "CTCEngine",
     queries: Sequence[Sequence[Hashable]],
     config: ExperimentConfig,
-    **method_kwargs: Any,
+    **overrides: Any,
 ) -> MethodRun:
     """Run one method on every query set and collect query-aligned results.
 
+    Every query is one :func:`~repro.ctc.api.search` call on ``target``.
+    Pass a :class:`~repro.engine.CTCEngine` built once per dataset, so every
+    query runs on its cached snapshot; given a plain graph, ``search()``
+    builds a :class:`~repro.trusses.index.TrussIndex` on every call.
+    ``config`` supplies ``eta`` (``lctc_eta``), ``gamma`` (``lctc_gamma``)
+    and ``time_budget_seconds``; ``overrides`` are further ``search()``
+    keyword arguments and win over those defaults.
+
     Query sets for which no community exists (or that are invalid on this
     graph) yield ``None`` entries rather than aborting the sweep — the paper
-    similarly averages over successful queries only.
+    similarly averages over successful queries only.  An unknown ``method``
+    raises :class:`~repro.exceptions.ConfigurationError`.
     """
-    searcher = make_searcher(method, graph, index, config, **method_kwargs)
+    options = {
+        "eta": config.lctc_eta,
+        "gamma": config.lctc_gamma,
+        "time_budget_seconds": config.time_budget_seconds,
+        **overrides,
+    }
     results: list[CommunityResult | None] = []
     for query in queries:
         started = time.perf_counter()
         try:
-            result = searcher(list(query))
+            result = search(target, list(query), method, **options)
         except (NoCommunityFoundError, QueryError):
             results.append(None)
             continue

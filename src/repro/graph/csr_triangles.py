@@ -316,8 +316,7 @@ def patch_incidence(
     but is assembled locally instead of re-enumerating the graph:
 
     1. the triangles *lost* to the delta are the ones incident to a removed
-       edge: one gather over the removed edges' incidence rows (the same
-       gather the incremental truss update uses for deletion seeding);
+       edge: one gather over the removed edges' incidence rows;
     2. the triangles the delta *created* — each contains at least one
        inserted edge — are enumerated via local ``searchsorted``
        intersections on the inserted edges' rows only;

@@ -75,19 +75,17 @@ DEFAULT_VECTOR_THRESHOLD = 256
 class CSRDecomposition:
     """The full output of one decomposition pass over a snapshot.
 
-    Bundles the artifacts a full rebuild produces anyway so downstream
-    consumers (:class:`~repro.engine.EngineSnapshot`, the LCTC kernel's
-    local re-decomposition, incremental deletion seeding) share them instead
-    of recomputing: per-edge ``trussness``, the initial per-edge
-    ``supports``, and — when the vector strategy ran — the
+    Per-edge ``trussness`` and — when the vector strategy ran — the
     :class:`~repro.graph.csr_triangles.TriangleIncidence` it enumerated
     (``None`` from the bucket path, which never materializes triangles).
-    ``method`` records the strategy that actually executed (``"vector"`` or
-    ``"bucket"``), after ``"auto"`` resolution.
+    An engine full rebuild hands both to its
+    :class:`~repro.engine.EngineSnapshot`, whose kernel reuses the
+    incidence instead of enumerating it again.  ``method`` records the
+    strategy that actually executed (``"vector"`` or ``"bucket"``), after
+    ``"auto"`` resolution.
     """
 
     trussness: np.ndarray
-    supports: np.ndarray
     incidence: TriangleIncidence | None
     method: str
 
@@ -312,17 +310,14 @@ def peel_incidence(incidence: TriangleIncidence) -> np.ndarray:
 
 
 def _bucket_truss_decomposition(
-    csr: CSRGraph, supports: list[int], adjacency: list[dict[int, int]] | None = None
+    csr: CSRGraph, supports: list[int], adjacency: list[dict[int, int]]
 ) -> np.ndarray:
     """The sequential bin-sort bucket-queue peel (the small-graph fallback).
 
-    ``adjacency`` lets the caller share the maps the support count already
-    built (they are consumed destructively, so a shared instance must not be
-    reused afterwards).
+    ``adjacency`` is the maps the support count already built; the peel
+    consumes them destructively, so they must not be reused afterwards.
     """
     num_edges = csr.number_of_edges()
-    if adjacency is None:
-        adjacency = _adjacency_maps(csr)
     edge_u = csr.edge_u.tolist()
     edge_v = csr.edge_v.tolist()
 
@@ -399,73 +394,48 @@ def _bucket_truss_decomposition(
     return np.asarray(trussness, dtype=np.int64)
 
 
-def csr_decompose(
-    csr: CSRGraph,
-    *,
-    method: str = "auto",
-    supports: np.ndarray | None = None,
-    incidence: TriangleIncidence | None = None,
-) -> CSRDecomposition:
+def csr_decompose(csr: CSRGraph, *, method: str = "auto") -> CSRDecomposition:
     """Decompose ``csr`` and return every artifact of the pass.
 
     ``method`` selects the strategy (``"auto"``, ``"vector"`` or
-    ``"bucket"``; see the module docstring).  ``supports`` and ``incidence``
-    let callers that already hold those artifacts (an
-    :class:`~repro.engine.EngineSnapshot`, a repeated benchmark run) skip
-    recomputing them; when omitted they are built here and returned, so
-    downstream consumers can share them instead of rebuilding — the fix for
-    the historical double support computation on full builds.
+    ``"bucket"``; see the module docstring).  The vector strategy returns
+    the triangle incidence it enumerated, so the caller can keep it instead
+    of enumerating again.
 
     Examples
     --------
     >>> from repro.graph.generators import complete_graph
     >>> result = csr_decompose(CSRGraph.from_graph(complete_graph(4)))
-    >>> result.method, result.trussness.tolist(), result.supports.tolist()
-    ('bucket', [4, 4, 4, 4, 4, 4], [2, 2, 2, 2, 2, 2])
+    >>> result.method, result.trussness.tolist(), result.incidence is None
+    ('bucket', [4, 4, 4, 4, 4, 4], True)
     """
-    num_edges = csr.number_of_edges()
     resolved = _resolve_method(csr, method)
-    if num_edges == 0:
+    if csr.number_of_edges() == 0:
         return CSRDecomposition(
-            trussness=np.zeros(0, dtype=np.int64),
-            supports=np.zeros(0, dtype=np.int64),
-            incidence=incidence,
-            method=resolved,
+            trussness=np.zeros(0, dtype=np.int64), incidence=None, method=resolved
         )
     if resolved == "vector":
-        if incidence is None:
-            incidence = csr_triangle_incidence(csr)
+        incidence = csr_triangle_incidence(csr)
         return CSRDecomposition(
-            trussness=peel_incidence(incidence),
-            supports=incidence.supports,
-            incidence=incidence,
-            method=resolved,
+            trussness=peel_incidence(incidence), incidence=incidence, method=resolved
         )
     adjacency = _adjacency_maps(csr)
-    if supports is None:
-        support_list = _supports_list(adjacency, csr.edge_u.tolist(), csr.edge_v.tolist())
-        supports = np.asarray(support_list, dtype=np.int64)
-    else:
-        supports = np.asarray(supports, dtype=np.int64)
-        support_list = supports.tolist()
+    supports = _supports_list(adjacency, csr.edge_u.tolist(), csr.edge_v.tolist())
     return CSRDecomposition(
-        trussness=_bucket_truss_decomposition(csr, support_list, adjacency),
-        supports=supports,
-        incidence=incidence,
+        trussness=_bucket_truss_decomposition(csr, supports, adjacency),
+        incidence=None,
         method=resolved,
     )
 
 
-def csr_truss_decomposition(
-    csr: CSRGraph, *, method: str = "auto", supports: np.ndarray | None = None
-) -> np.ndarray:
+def csr_truss_decomposition(csr: CSRGraph, *, method: str = "auto") -> np.ndarray:
     """Return the trussness of every edge as an ``int64`` array indexed by edge id.
 
     Drop-in equivalent (modulo key representation) to
     :func:`repro.trusses.decomposition.truss_decomposition`: values are
     ``>= 2`` and edges in no triangle get exactly 2.  Thin wrapper over
     :func:`csr_decompose` for callers that only want the trussness array;
-    ``method`` / ``supports`` are forwarded as-is.
+    ``method`` is forwarded as-is.
 
     Examples
     --------
@@ -474,4 +444,4 @@ def csr_truss_decomposition(
     >>> sorted(set(csr_truss_decomposition(csr).tolist()))
     [4]
     """
-    return csr_decompose(csr, method=method, supports=supports).trussness
+    return csr_decompose(csr, method=method).trussness

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.mdc import MinimumDegreeCommunity, mdc_search
-from repro.baselines.qdc import QueryBiasedDensestCommunity, qdc_search, random_walk_proximity
-from repro.baselines.truss_only import TrussOnly, truss_only_search
-from repro.exceptions import NoCommunityFoundError, QueryError
+from repro.baselines.mdc import MinimumDegreeCommunity
+from repro.baselines.qdc import QueryBiasedDensestCommunity, random_walk_proximity
+from repro.baselines.truss_only import TrussOnly
+from repro.ctc.api import search
+from repro.exceptions import ConfigurationError, NoCommunityFoundError, QueryError
 from repro.graph.components import is_connected
 from repro.graph.generators import complete_graph, path_graph
 from repro.graph.simple_graph import UndirectedGraph
@@ -27,7 +28,7 @@ class TestTrussOnly:
         assert {"p1", "p2", "p3"} <= result.nodes
 
     def test_wrapper(self, figure1, figure1_query):
-        result = truss_only_search(figure1, figure1_query)
+        result = search(figure1, figure1_query, method="truss")
         assert result.trussness == 4
 
     def test_query_distance_populated(self, figure1_index, figure1_query):
@@ -76,7 +77,7 @@ class TestMinimumDegreeCommunity:
             MinimumDegreeCommunity(figure1).search([])
 
     def test_wrapper(self, figure1, figure1_query):
-        result = mdc_search(figure1, figure1_query)
+        result = search(figure1, figure1_query, method="mdc")
         assert result.method == "mdc"
 
 
@@ -125,7 +126,7 @@ class TestQueryBiasedDensestCommunity:
             QueryBiasedDensestCommunity(graph).search([1, 3])
 
     def test_wrapper(self, figure1, figure1_query):
-        result = qdc_search(figure1, figure1_query)
+        result = search(figure1, figure1_query, method="qdc")
         assert result.method == "qdc"
 
 
@@ -140,3 +141,34 @@ class TestBaselineComparison:
         assert ctc_result.num_nodes < truss_result.num_nodes
         assert ctc_result.density() > truss_result.density()
         assert ctc_result.diameter() < truss_result.diameter()
+
+
+class _RefusedIndex:
+    """Stands in for ``TrussIndex`` inside ``search()``: building one fails."""
+
+    def __init__(self, graph):
+        raise AssertionError("search() built a TrussIndex")
+
+
+class TestSearchDispatch:
+    """``search()`` checks the method first and hands MDC/QDC the graph itself."""
+
+    @pytest.mark.parametrize(
+        "method, baseline",
+        [("mdc", MinimumDegreeCommunity), ("qdc", QueryBiasedDensestCommunity)],
+    )
+    def test_baselines_build_no_index(
+        self, monkeypatch, figure1, figure1_query, method, baseline
+    ):
+        monkeypatch.setattr("repro.ctc.api.TrussIndex", _RefusedIndex)
+        result = search(figure1, figure1_query, method=method)
+        expected = baseline(figure1).search(figure1_query)
+        assert result.nodes == expected.nodes
+        assert set(result.graph.edges()) == set(expected.graph.edges())
+        assert result.query_distance == expected.query_distance
+        assert result.extras == expected.extras
+
+    def test_unknown_method_rejected_before_any_index(self, monkeypatch, figure1, figure1_query):
+        monkeypatch.setattr("repro.ctc.api.TrussIndex", _RefusedIndex)
+        with pytest.raises(ConfigurationError):
+            search(figure1, figure1_query, method="nope")

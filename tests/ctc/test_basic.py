@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ctc.basic import BasicCTC, basic_ctc_search
+from repro.ctc.api import search
+from repro.ctc.basic import BasicCTC
 from repro.exceptions import NoCommunityFoundError
 from repro.graph.components import is_connected
 from repro.graph.generators import complete_graph
@@ -86,7 +87,7 @@ class TestBasicGuarantees:
 
     def test_complete_graph_is_returned_whole(self):
         graph = complete_graph(6)
-        result = basic_ctc_search(graph, [0, 1])
+        result = search(graph, [0, 1], method="basic")
         assert result.nodes == set(range(6))
         assert result.trussness == 6
         assert result.diameter() == 1
@@ -116,15 +117,15 @@ class TestBasicEdgeCases:
     def test_disconnected_query_raises(self):
         graph = UndirectedGraph([(1, 2), (2, 3), (1, 3), (7, 8), (8, 9), (7, 9)])
         with pytest.raises(NoCommunityFoundError):
-            basic_ctc_search(graph, [1, 7])
+            search(graph, [1, 7], method="basic")
 
     def test_query_of_whole_triangle(self, triangle):
-        result = basic_ctc_search(triangle, [0, 1, 2])
+        result = search(triangle, [0, 1, 2], method="basic")
         assert result.nodes == {0, 1, 2}
         assert result.trussness == 3
 
     def test_wrapper_builds_index(self, figure1, figure1_query):
-        result = basic_ctc_search(figure1, figure1_query)
+        result = search(figure1, figure1_query, method="basic")
         assert result.method == "basic"
         assert result.trussness == 4
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ctc.api import search
 from repro.ctc.basic import BasicCTC
-from repro.ctc.bulk_delete import BulkDeleteCTC, bulk_delete_ctc_search
+from repro.ctc.bulk_delete import BulkDeleteCTC
 from repro.exceptions import NoCommunityFoundError
 from repro.graph.components import is_connected
 from repro.graph.simple_graph import UndirectedGraph
@@ -88,14 +89,14 @@ class TestBulkDeleteBehaviour:
         assert "q3" in second.nodes
 
     def test_wrapper_builds_index(self, figure1, figure1_query):
-        result = bulk_delete_ctc_search(figure1, figure1_query)
+        result = search(figure1, figure1_query, method="bulk-delete")
         assert result.method == "bulk-delete"
         assert result.trussness == 4
 
     def test_disconnected_query_raises(self):
         graph = UndirectedGraph([(1, 2), (2, 3), (1, 3), (7, 8), (8, 9), (7, 9)])
         with pytest.raises(NoCommunityFoundError):
-            bulk_delete_ctc_search(graph, [1, 7])
+            search(graph, [1, 7], method="bulk-delete")
 
     def test_single_query_node(self, figure1_index):
         result = BulkDeleteCTC(figure1_index).search(["q2"])

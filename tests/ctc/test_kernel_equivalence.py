@@ -15,7 +15,7 @@ maintenance to query execution.)
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.ctc.api import search
 from repro.ctc.basic import BasicCTC
@@ -152,6 +152,35 @@ class TestKernelDetails:
             via_kernel = BasicCTC(snapshot, max_iterations=cap).search([0, 1])
             assert via_kernel.nodes == via_dict.nodes
             assert via_kernel.iterations == via_dict.iterations <= cap
+
+    @common_settings
+    @given(data=graphs_and_queries(), gamma=st.sampled_from([0.0, 1.0, 3.0]))
+    @example(data=(relaxed_caveman_graph(4, 6, 0.3, seed=0), [[10]]), gamma=1.0)
+    def test_one_sweep_per_source_matches_pairwise_distances(self, data, gamma):
+        """One threshold sweep from a source gives every other node the truss
+        distance and witness path of the dict path's pairwise sweep.  The
+        explicit example needs each level's BFS cutoff to be the largest
+        hop budget of the targets still open, not the smallest."""
+        from repro.ctc.kernels.steiner import truss_distances_from
+        from repro.ctc.steiner import truss_distance_between
+
+        graph, queries = data
+        index = TrussIndex(graph)
+        kernel = CTCEngine(graph).snapshot().kernel
+        csr = kernel.csr
+        for source in {node for query in queries for node in query}:
+            targets = [node for node in graph.nodes() if node != source]
+            reached = truss_distances_from(
+                kernel, csr.node_id(source), [csr.node_id(node) for node in targets], gamma
+            )
+            for target in targets:
+                value, path = truss_distance_between(index, source, target, gamma)
+                if path is None:
+                    assert csr.node_id(target) not in reached
+                    continue
+                got_value, got_path = reached[csr.node_id(target)]
+                assert got_value == value
+                assert [csr.node_label(node) for node in got_path] == path
 
     def test_time_budget_reports_timed_out_flag(self):
         snapshot = CTCEngine(erdos_renyi_graph(20, 0.4, seed=1)).snapshot()

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ctc.api import search
 from repro.ctc.basic import BasicCTC
-from repro.ctc.local import DEFAULT_ETA, DEFAULT_GAMMA, LocalCTC, local_ctc_search
+from repro.ctc.local import DEFAULT_ETA, DEFAULT_GAMMA, LocalCTC
 from repro.exceptions import QueryError
 from repro.graph.components import is_connected
 from repro.graph.triangles import all_edge_supports
@@ -80,7 +81,7 @@ class TestLocalCTCParameters:
             LocalCTC(figure1_index).search([])
 
     def test_wrapper_builds_index(self, figure1, figure1_query):
-        result = local_ctc_search(figure1, figure1_query, eta=50)
+        result = search(figure1, figure1_query, method="lctc", eta=50)
         assert result.method == "lctc"
         assert result.trussness == 4
 

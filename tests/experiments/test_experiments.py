@@ -11,6 +11,9 @@ import math
 
 import pytest
 
+from repro.ctc.api import available_methods, search
+from repro.engine import CTCEngine
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import FULL_CONFIG, QUICK_CONFIG, ExperimentConfig
 from repro.experiments.figures import (
     approximation_quality,
@@ -26,13 +29,11 @@ from repro.experiments.reporting import format_float, format_series, format_tabl
 from repro.experiments.runner import (
     MethodRun,
     aggregate_percentage_and_density,
-    make_searcher,
     mean_or_nan,
     run_method_on_queries,
     score_against_ground_truth,
 )
 from repro.experiments.tables import table2_network_statistics, table3_index_statistics
-from repro.exceptions import ReproError
 
 TINY = ExperimentConfig(
     queries_per_point=2,
@@ -47,6 +48,12 @@ TINY = ExperimentConfig(
     time_budget_seconds=20.0,
     seed=7,
 )
+
+
+@pytest.fixture
+def figure1_engine(figure1):
+    """An engine over Figure 1(a), the target every driver queries."""
+    return CTCEngine(figure1)
 
 
 class TestConfig:
@@ -101,38 +108,58 @@ class TestRunner:
         assert math.isnan(mean_or_nan([]))
         assert mean_or_nan([1.0, float("inf")]) == 1.0
 
-    def test_make_searcher_rejects_unknown(self, figure1, figure1_index):
-        with pytest.raises(ReproError):
-            make_searcher("nope", figure1, figure1_index, TINY)
+    def test_runner_rejects_unknown(self, figure1_engine):
+        with pytest.raises(ConfigurationError):
+            run_method_on_queries("nope", figure1_engine, [["q1", "q2"]], TINY)
+
+    @pytest.mark.parametrize("method", available_methods())
+    def test_engine_runs_match_the_index_oracle(self, figure1_engine, figure1_index, method):
+        """The runner's engine answers equal search() on a TrussIndex, with
+        the config's LCTC parameters and time budget as the defaults."""
+        queries = [["q1", "q2", "q3"], ["q3"], ["t", "q1"]]
+        run = run_method_on_queries(method, figure1_engine, queries, TINY)
+        assert run.method == method
+        for query, result in zip(queries, run.results, strict=True):
+            expected = search(
+                figure1_index,
+                query,
+                method,
+                eta=TINY.lctc_eta,
+                gamma=TINY.lctc_gamma,
+                time_budget_seconds=TINY.time_budget_seconds,
+            )
+            assert result.nodes == expected.nodes
+            assert result.trussness == expected.trussness
+            assert result.query_distance == expected.query_distance
 
     @pytest.mark.parametrize("method", ["basic", "bulk-delete", "lctc", "truss", "mdc", "qdc"])
-    def test_run_method_on_queries(self, figure1, figure1_index, method):
+    def test_run_method_on_queries(self, figure1_engine, method):
         queries = [["q1", "q2", "q3"], ["q3"]]
-        run = run_method_on_queries(method, figure1, figure1_index, queries, TINY, eta=40)
+        run = run_method_on_queries(method, figure1_engine, queries, TINY, eta=40)
         assert len(run.results) == 2
         assert run.failures == 0
         assert run.mean_nodes >= 3
         row = run.as_row()
         assert row["method"] == method
 
-    def test_failures_recorded_as_none(self, figure1, figure1_index):
+    def test_failures_recorded_as_none(self, figure1_engine):
         queries = [["q1", "q2", "q3"], ["q1", "does-not-exist"]]
-        run = run_method_on_queries("truss", figure1, figure1_index, queries, TINY)
+        run = run_method_on_queries("truss", figure1_engine, queries, TINY)
         assert run.failures == 1
         assert run.results[1] is None
 
-    def test_aggregate_percentage_and_density(self, figure1, figure1_index):
+    def test_aggregate_percentage_and_density(self, figure1_engine):
         queries = [["q1", "q2", "q3"]]
-        reference = run_method_on_queries("truss", figure1, figure1_index, queries, TINY)
-        run = run_method_on_queries("basic", figure1, figure1_index, queries, TINY)
+        reference = run_method_on_queries("truss", figure1_engine, queries, TINY)
+        run = run_method_on_queries("basic", figure1_engine, queries, TINY)
         panel = aggregate_percentage_and_density(run, reference)
         assert panel["percentage"] == pytest.approx(100 * 8 / 11)
         assert panel["density"] > 0
 
-    def test_score_against_ground_truth(self, figure1, figure1_index):
+    def test_score_against_ground_truth(self, figure1_engine):
         queries = [["q1", "q2", "q3"]]
         truths = [{"q1", "q2", "q3", "v1", "v2", "v3", "v4", "v5"}]
-        run = run_method_on_queries("basic", figure1, figure1_index, queries, TINY)
+        run = run_method_on_queries("basic", figure1_engine, queries, TINY)
         assert score_against_ground_truth(run, truths) == pytest.approx(1.0)
 
     def test_method_run_empty(self):

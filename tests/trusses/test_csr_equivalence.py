@@ -118,7 +118,6 @@ class TestVectorBucketEquivalence:
         vector = csr_decompose(csr, method="vector")
         bucket = csr_decompose(csr, method="bucket")
         assert np.array_equal(vector.trussness, bucket.trussness)
-        assert np.array_equal(vector.supports, bucket.supports)
         dict_result = truss_decomposition(graph)
         assert {
             csr.edge_key_of(e): int(vector.trussness[e])
@@ -135,17 +134,6 @@ class TestVectorBucketEquivalence:
         if csr.number_of_edges():
             assert auto.method == expected
         assert np.array_equal(auto.trussness, csr_truss_decomposition(csr, method="vector"))
-
-    @common_settings
-    @given(graph=generator_graphs())
-    def test_precomputed_supports_are_honored(self, graph):
-        """Passing precomputed supports skips the recount without changing results."""
-        csr = CSRGraph.from_graph(graph)
-        supports = csr_edge_supports(csr)
-        result = csr_decompose(csr, method="bucket", supports=supports)
-        assert result.supports is not None
-        assert np.array_equal(result.supports, supports)
-        assert np.array_equal(result.trussness, csr_truss_decomposition(csr))
 
     @common_settings
     @given(graph=generator_graphs())
@@ -169,7 +157,6 @@ class TestVectorBucketEquivalence:
         vector = csr_decompose(csr, method="vector")
         assert vector.incidence is not None
         assert vector.incidence.num_triangles == 20
-        assert vector.supports is vector.incidence.supports
         bucket = csr_decompose(csr, method="bucket")
         assert bucket.incidence is None
 
@@ -192,7 +179,6 @@ class TestVectorAdversarialCases:
         csr = CSRGraph.from_graph(graph)
         vector = csr_decompose(csr, method="vector")
         assert set(vector.trussness.tolist()) == {2}
-        assert not vector.supports.any()
         assert np.array_equal(vector.trussness, csr_decompose(csr, method="bucket").trussness)
 
     def test_complete_graph_is_one_level(self):
