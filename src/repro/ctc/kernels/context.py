@@ -34,7 +34,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro.exceptions import QueryError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, label_object_array
 from repro.graph.csr_triangles import TriangleIncidence
 
 __all__ = ["QueryKernel", "validate_query_ids"]
@@ -69,14 +69,6 @@ def _repr_ranks(labels: list[Hashable]) -> list[int]:
     for position, node in enumerate(order):
         rank[node] = position
     return rank
-
-
-def _object_array(labels: list[Hashable]) -> np.ndarray:
-    """``labels`` as an ``object`` array (one slot per label, tuples kept whole)."""
-    array = np.empty(len(labels), dtype=object)
-    for position, label in enumerate(labels):
-        array[position] = label
-    return array
 
 
 class QueryKernel:
@@ -337,7 +329,7 @@ class QueryKernel:
         Python ``node_label`` call per member.
         """
         if self._label_array is None:
-            self._label_array = self.csr.label_memo("label_array", _object_array)
+            self._label_array = self.csr.label_memo("label_array", label_object_array)
         return self._label_array
 
     def __repr__(self) -> str:

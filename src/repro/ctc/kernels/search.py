@@ -30,7 +30,6 @@ from repro.ctc.result import CommunityResult
 from repro.exceptions import NoCommunityFoundError
 from repro.graph.csr_bfs import masked_query_distances
 from repro.graph.csr_triangles import subset_incidence
-from repro.graph.simple_graph import UndirectedGraph
 from repro.trusses.csr_decomposition import (
     DEFAULT_VECTOR_THRESHOLD,
     csr_decompose,
@@ -38,35 +37,6 @@ from repro.trusses.csr_decomposition import (
 )
 
 __all__ = ["basic_search", "bulk_delete_search", "lctc_search", "truss_search"]
-
-
-def _graph_from_ids(kernel: QueryKernel, node_ids, edge_ids) -> UndirectedGraph:
-    """Materialize a community (id sets) back into a label-space graph.
-
-    Vectorized: endpoints gather through the label array, adjacency rows
-    group with one stable argsort, and each neighbour set is built at C
-    speed from its contiguous slice — no per-edge ``add_edge`` calls
-    (:meth:`UndirectedGraph._from_trusted_parts` adopts the result).
-    """
-    csr = kernel.csr
-    label_of = kernel.label_array
-    nodes = np.sort(np.fromiter(node_ids, dtype=np.int64, count=len(node_ids)))
-    adjacency: dict = {label_of[node]: set() for node in nodes.tolist()}
-    edges = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
-    if edges.size:
-        endpoint_u = csr.edge_u[edges]
-        endpoint_v = csr.edge_v[edges]
-        rows = np.concatenate([endpoint_u, endpoint_v])
-        columns = np.concatenate([endpoint_v, endpoint_u])
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        column_labels = label_of[columns[order]].tolist()
-        boundaries = np.nonzero(np.diff(rows))[0] + 1
-        starts = [0, *boundaries.tolist(), rows.size]
-        row_heads = rows[np.asarray(starts[:-1], dtype=np.int64)].tolist()
-        for head, lo, hi in zip(row_heads, starts, starts[1:]):
-            adjacency[label_of[head]] = set(column_labels[lo:hi])
-    return UndirectedGraph._from_trusted_parts(adjacency, int(edges.size))
 
 
 def _global_search(
@@ -96,7 +66,7 @@ def _global_search(
     )
     elapsed = time.perf_counter() - start_time
     return CommunityResult(
-        graph=_graph_from_ids(kernel, outcome.node_ids, outcome.edge_ids),
+        graph=kernel.csr.thaw(kernel.label_array, outcome.node_ids, outcome.edge_ids),
         query=tuple(labels),
         trussness=k,
         method=method_name,
@@ -163,7 +133,7 @@ def truss_search(kernel: QueryKernel, query: Sequence[Hashable]) -> CommunityRes
     query_distance = float(maxima[np.asarray(g0_nodes, dtype=np.int64)].max())
     elapsed = time.perf_counter() - start_time
     return CommunityResult(
-        graph=_graph_from_ids(kernel, g0_nodes, g0_edges),
+        graph=kernel.csr.thaw(kernel.label_array, g0_nodes, g0_edges),
         query=tuple(labels),
         trussness=k,
         method="truss",
@@ -264,7 +234,7 @@ def lctc_search(
     )
     elapsed = time.perf_counter() - start_time
     return CommunityResult(
-        graph=_graph_from_ids(kernel, outcome.node_ids, outcome.edge_ids),
+        graph=kernel.csr.thaw(kernel.label_array, outcome.node_ids, outcome.edge_ids),
         query=tuple(labels),
         trussness=k,
         method="lctc",

@@ -543,15 +543,14 @@ class CTCEngine:
         """Build an engine whose store is thawed from frozen snapshot arrays.
 
         This is the worker-process entry point of the serving layer: a shard
-        worker attaches the parent's shared-memory CSR buffers
-        (:meth:`CSRGraph.from_shared`) and hands them here.  The mutable
-        store is thawed via :meth:`CSRGraph.to_graph`; when ``trussness`` is
-        given, the already-decomposed artifacts — ``trussness`` and the
-        optional triangle ``incidence`` — seed the version-0 snapshot so the
-        worker's first queries skip the from-scratch decomposition entirely.
-        Like every snapshot, the seeded one thaws its dict-form graph from
-        ``csr`` only on first access.  The arrays may be read-only (shared)
-        views — snapshots never mutate them.
+        worker decodes the parent's shared-memory bundle
+        (:func:`~repro.engine.codec.decode_snapshot`) and hands the arrays
+        here.  The mutable store is thawed via :meth:`CSRGraph.to_graph`;
+        when ``trussness`` is given, the already-decomposed artifacts —
+        ``trussness`` and the optional triangle ``incidence`` — seed the
+        version-0 snapshot, as :meth:`recover` seeds its checkpoint's, so
+        the worker's first queries skip the decomposition entirely.  The
+        arrays may be read-only (shared) views — snapshots never mutate them.
 
         On :class:`CTCEngine` itself (not subclasses, whose constructors
         derive bookkeeping from the store) the mutable dict-form store is
@@ -566,21 +565,24 @@ class CTCEngine:
             and trussness is not None
             and kwargs.get("durability") is None
         )
-        if lazy:
-            engine = cls(UndirectedGraph(), copy=False, **kwargs)
-            engine._lazy_csr = csr
-        else:
-            engine = cls(csr.to_graph(), copy=False, **kwargs)
+        engine = cls(UndirectedGraph() if lazy else csr.to_graph(), copy=False, **kwargs)
         if trussness is not None:
-            seeded = EngineSnapshot(
-                version=0,
-                csr=csr,
-                trussness=trussness,
-                incidence=incidence,
-                on_enumerate=engine._note_enumeration,
-            )
-            engine._store(seeded)
+            engine._seed(0, csr, trussness, incidence, lazy_store=lazy)
         return engine
+
+    def _seed(self, version: int, csr: CSRGraph, trussness, incidence, *, lazy_store: bool) -> None:
+        """Cache the snapshot of ``version`` from already-decomposed arrays.
+
+        With ``lazy_store`` the store stays empty and thaws from ``csr`` only
+        when a mutation (or a direct store read) needs it, so a cold start
+        is queryable in O(mmap) rather than O(m) time.
+        """
+        if lazy_store:
+            self._lazy_csr = csr
+        self._version = version
+        self._store(
+            EngineSnapshot(version, csr, trussness, incidence=incidence, on_enumerate=self._note_enumeration)
+        )
 
     # ------------------------------------------------------------------
     # store access
@@ -807,7 +809,8 @@ class CTCEngine:
         ConfigurationError
             If the directory holds no durable state.
         WalCorruptionError
-            On mid-log WAL damage or a checkpoint/WAL version gap.
+            On mid-log WAL damage, a checkpoint/WAL version gap, or when
+            no checkpoint loads and the WAL lacks its bootstrap record.
         """
         for reserved in ("copy", "durability", "graph"):
             if reserved in engine_kwargs:
@@ -821,21 +824,10 @@ class CTCEngine:
             engine = cls(UndirectedGraph(), copy=False, **engine_kwargs)
             base_version = 0
             if checkpoint is not None:
-                # The mutable dict-form store is NOT rebuilt here: the
-                # checkpoint's CSR is held lazily and thawed only when a
-                # mutation (or direct store read) needs it, so a cold
-                # start is queryable in O(mmap) rather than O(m) time.
-                engine._lazy_csr = checkpoint.csr
-                engine._version = checkpoint.version
                 base_version = checkpoint.version
-                seeded = EngineSnapshot(
-                    version=checkpoint.version,
-                    csr=checkpoint.csr,
-                    trussness=checkpoint.trussness,
-                    incidence=checkpoint.incidence,
-                    on_enumerate=engine._note_enumeration,
+                engine._seed(
+                    base_version, checkpoint.csr, checkpoint.trussness, checkpoint.incidence, lazy_store=True
                 )
-                engine._store(seeded)
             replayed = 0
             for version, delta in records:
                 if checkpoint is not None and version <= base_version:

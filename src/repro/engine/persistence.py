@@ -16,7 +16,8 @@ complementary artifacts that live together in one *data directory*:
     never depends on a checkpoint existing.
 ``checkpoint-<version>/`` — **atomic snapshot checkpoints**
     A directory of ``np.save`` arrays (CSR buffers, trussness, and the
-    triangle incidence with its supports when the snapshot holds one), the
+    triangle incidence with its supports when the snapshot holds one;
+    :mod:`repro.engine.codec` names them), the
     pickled node labels, and a checksummed manifest, staged in a temp
     directory and published by a single ``os.rename``
     (:func:`repro.graph.disk.publish_dir`).  Recovery reopens
@@ -42,7 +43,8 @@ Recovery state machine
 1. sweep orphaned ``tmp-*`` staging directories (a crash mid-checkpoint
    before the rename);
 2. load the newest checkpoint whose manifest verifies — a damaged or
-   half-renamed one is skipped, falling back to the next older (or none);
+   half-renamed one is skipped, falling back to the next older (or none,
+   if the WAL still begins with its bootstrap record);
 3. read the WAL: a **torn tail** (last record cut short or failing its
    CRC) is truncated off the file silently, while damage anywhere earlier
    raises :class:`~repro.exceptions.WalCorruptionError` (see
@@ -71,6 +73,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.engine.codec import decode_snapshot, encode_snapshot
 from repro.exceptions import ConfigurationError, WalCorruptionError
 from repro.graph.csr import CSRGraph
 from repro.graph.csr_triangles import TriangleIncidence
@@ -425,30 +428,26 @@ class CheckpointStore:
         Arrays are staged with ``np.save`` into a ``tmp-*`` directory next
         to their checksummed manifest, then published by one ``os.rename``.
         Idempotent per version: an already-published checkpoint for the
-        snapshot's version is returned as-is.
+        snapshot's version is returned as-is if it loads and verifies; one
+        that does not (recovery would skip it) is replaced by ``snapshot``.
         """
         final = self._dir(snapshot.version)
         if os.path.isdir(final):
-            return final
+            if self._load(snapshot.version, verify=True) is not None:
+                return final
+            shutil.rmtree(final)
         os.makedirs(self._root, exist_ok=True)
         tmp = os.path.join(
             self._root, f"{_TMP_PREFIX}{snapshot.version}-{os.getpid()}"
         )
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
-        csr = snapshot.csr
-        arrays = {name: getattr(csr, name) for name in CSRGraph._SHARED_ARRAYS}
-        arrays["trussness"] = snapshot.trussness
-        if snapshot.incidence is not None:
-            arrays["supports"] = snapshot.incidence.supports
-            arrays["tri_edges"] = snapshot.incidence.edges
-            arrays["inc_indptr"] = snapshot.incidence.inc_indptr
-            arrays["inc_triangles"] = snapshot.incidence.inc_triangles
+        arrays, labels = encode_snapshot(snapshot.csr, snapshot.trussness, snapshot.incidence)
         manifest: dict = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "version": snapshot.version,
-            "nodes": csr.number_of_nodes(),
-            "edges": csr.number_of_edges(),
+            "nodes": snapshot.csr.number_of_nodes(),
+            "edges": snapshot.csr.number_of_edges(),
             "arrays": {},
         }
         for name, array in arrays.items():
@@ -463,7 +462,7 @@ class CheckpointStore:
             }
         labels_file = "labels.pkl"
         with open(os.path.join(tmp, labels_file), "wb") as handle:
-            pickle.dump(csr.labels(), handle, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(labels, handle, protocol=pickle.HIGHEST_PROTOCOL)
         manifest["labels"] = {
             "file": labels_file,
             "crc32": file_crc32(os.path.join(tmp, labels_file)),
@@ -518,30 +517,14 @@ class CheckpointStore:
                 return None
             with open(labels_path, "rb") as handle:
                 labels = pickle.load(handle)
+            csr, trussness, incidence = decode_snapshot(arrays, labels)
         except (OSError, KeyError, ValueError, pickle.UnpicklingError):
             return None
-        csr = CSRGraph(
-            indptr=arrays["indptr"],
-            indices=arrays["indices"],
-            slot_edge=arrays["slot_edge"],
-            edge_u=arrays["edge_u"],
-            edge_v=arrays["edge_v"],
-            labels=labels,
-            ids={label: position for position, label in enumerate(labels)},
-        )
-        incidence = None
-        if "tri_edges" in arrays:
-            incidence = TriangleIncidence(
-                edges=arrays["tri_edges"],
-                supports=arrays["supports"],
-                inc_indptr=arrays["inc_indptr"],
-                inc_triangles=arrays["inc_triangles"],
-            )
         return LoadedCheckpoint(
             version=int(manifest["version"]),
             path=directory,
             csr=csr,
-            trussness=arrays["trussness"],
+            trussness=trussness,
             incidence=incidence,
         )
 
@@ -625,12 +608,20 @@ class DurabilityManager:
         the caller (``CTCEngine.recover``) replays the records onto the
         checkpoint state.
 
+        If checkpoints exist but none loads, the WAL alone rebuilds the
+        store only if it still begins with its version-0 bootstrap record
+        (a trimmed WAL has lost the versions before it).  An engine that
+        started empty logs no bootstrap record, so it is refused then even
+        if never trimmed: refusing is the safe side.
+
         Raises
         ------
         ConfigurationError
             If the directory holds no durable state at all.
         WalCorruptionError
-            On mid-log WAL damage (torn tails are repaired silently).
+            On mid-log WAL damage (torn tails are repaired silently), or
+            when checkpoints exist, none loads, and the WAL lacks its
+            bootstrap record.
         """
         store = CheckpointStore(config.path)
         store.sweep_tmp()
@@ -645,6 +636,12 @@ class DurabilityManager:
         truncated = 0
         if wal_exists:
             records, truncated = WriteAheadLog.repair(config.wal_path)
+        if checkpoint is None and store.versions() and (not records or records[0][0] != 0):
+            raise WalCorruptionError(
+                f"no checkpoint in {config.path!r} loads and the WAL does not "
+                "begin with its bootstrap record",
+                path=config.wal_path,
+            )
         wal = WriteAheadLog(
             config.wal_path, fsync=config.fsync, fsync_batch=config.fsync_batch
         )

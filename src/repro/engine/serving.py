@@ -16,12 +16,13 @@ adds the serving layer the ROADMAP's "millions of users" track calls for:
 * **Process mode** (``mode="process"``): the store is sharded by connected
   component (:func:`~repro.graph.components.balanced_shards`; nodes first
   seen on a new edge fall back to a stable hash of the canonical edge
-  key), and each shard is served by a worker process.  The parent exports
+  key), and each shard is served by a worker process.  The parent encodes
   every shard's frozen CSR buffers — adjacency, per-edge trussness, and
-  the triangle incidence with its supports — into
-  ``multiprocessing.shared_memory``
-  (:meth:`~repro.graph.csr.CSRGraph.to_shared`), so workers map their
-  snapshots zero-copy and skip the from-scratch decomposition entirely
+  the triangle incidence with its supports — with the snapshot codec
+  (:func:`~repro.engine.codec.encode_snapshot`) into one
+  ``multiprocessing.shared_memory`` bundle, so workers decode their
+  snapshots zero-copy (:func:`~repro.engine.codec.decode_snapshot`) and
+  skip the from-scratch decomposition entirely
   (:meth:`CTCEngine.from_arrays`).  Mutations are routed to the owning
   shard fire-and-forget (the writer never blocks on a worker), which
   means a mutation dirties **one shard's** snapshot instead of the whole
@@ -122,6 +123,7 @@ import multiprocessing
 import numpy as np
 
 from repro.ctc.result import CommunityResult
+from repro.engine.codec import decode_snapshot, encode_snapshot
 from repro.engine.core import CTCEngine
 from repro.exceptions import (
     ConfigurationError,
@@ -133,8 +135,7 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.graph.components import balanced_shards
-from repro.graph.csr import CSRGraph
-from repro.graph.csr_triangles import TriangleIncidence, subset_incidence
+from repro.graph.csr_triangles import subset_incidence
 from repro.graph.keys import edge_key
 from repro.graph.shm import SharedArrayBundle
 from repro.graph.simple_graph import UndirectedGraph
@@ -395,18 +396,8 @@ def _shard_worker(
 
     bundle = SharedArrayBundle.attach(meta, untrack=untrack)
     try:
-        csr = CSRGraph.from_shared(bundle)
-        incidence = None
-        if "inc_indptr" in bundle:
-            incidence = TriangleIncidence(
-                edges=bundle["tri_edges"],
-                supports=bundle["supports"],
-                inc_indptr=bundle["inc_indptr"],
-                inc_triangles=bundle["inc_triangles"],
-            )
-        engine = CTCEngine.from_arrays(
-            csr, bundle["trussness"], incidence=incidence, **engine_kwargs
-        )
+        csr, trussness, incidence = decode_snapshot(bundle, bundle.objects["labels"])
+        engine = CTCEngine.from_arrays(csr, trussness, incidence=incidence, **engine_kwargs)
         for op_name, args in replay_ops:
             try:
                 getattr(engine, op_name)(*args)
@@ -645,16 +636,13 @@ class ServingEngine:
                 # being in the shard implies the upper one is too.
                 shard_edges = np.nonzero(node_is_sharded[csr.edge_u])[0]
                 sub = csr.edge_subgraph(shard_edges, include_node_ids=node_ids)
-                extra = {"trussness": snapshot.trussness[sub.edge_origin]}
+                shard_incidence = None
                 if snapshot.incidence is not None:
-                    shard_incidence = subset_incidence(
-                        snapshot.incidence, sub.edge_origin
-                    )
-                    extra["supports"] = shard_incidence.supports
-                    extra["tri_edges"] = shard_incidence.edges
-                    extra["inc_indptr"] = shard_incidence.inc_indptr
-                    extra["inc_triangles"] = shard_incidence.inc_triangles
-                bundle = sub.csr.to_shared(f"repro_s{index}", extra_arrays=extra)
+                    shard_incidence = subset_incidence(snapshot.incidence, sub.edge_origin)
+                arrays, labels = encode_snapshot(
+                    sub.csr, snapshot.trussness[sub.edge_origin], shard_incidence
+                )
+                bundle = SharedArrayBundle.create(f"repro_s{index}", arrays, objects={"labels": labels})
                 self._bundles.append(bundle)
                 self._spawn_worker(index)
             for index in range(count):

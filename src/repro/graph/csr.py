@@ -32,7 +32,7 @@ The array-based truss routines that consume this layout live in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Collection, Hashable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,36 @@ from repro.graph.delta import GraphDelta
 from repro.graph.keys import EdgeKey, edge_key
 from repro.graph.simple_graph import UndirectedGraph
 
-__all__ = ["CSRGraph", "CSRPatch", "CSRSubgraph"]
+__all__ = ["CSRGraph", "CSRPatch", "CSRSubgraph", "label_object_array"]
+
+
+def _row_major_slots(
+    num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(indptr, indices, slot_edge)`` of the edges ``(edge_u[e], edge_v[e])``.
+
+    Both slots of every edge are grouped by row with each row's
+    neighbours ascending; ``slot_edge`` maps a slot to its position ``e``
+    in the input.  Endpoints are ids below ``num_nodes``.
+    """
+    num_edges = int(edge_u.size)
+    rows = np.concatenate([edge_u, edge_v])
+    neighbors = np.concatenate([edge_v, edge_u])
+    slot_ids = np.concatenate([np.arange(num_edges, dtype=np.int64)] * 2)
+    # The (row, neighbour) keys are distinct, so any argsort of them is
+    # np.lexsort((neighbors, rows)).
+    order = np.argsort(rows * (num_nodes + 1) + neighbors)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, neighbors[order], slot_ids[order]
+
+
+def label_object_array(labels: list[Hashable]) -> np.ndarray:
+    """``labels`` as an ``object`` array (one slot per label, tuples kept whole)."""
+    array = np.empty(len(labels), dtype=object)
+    for position, label in enumerate(labels):
+        array[position] = label
+    return array
 
 
 def _keeps_node_order(node_remap: np.ndarray | None) -> bool:
@@ -120,10 +149,6 @@ class CSRPatch:
     node_remap: np.ndarray | None
     new_of_old: np.ndarray
 
-    def new_ids_of_old(self) -> np.ndarray:
-        """Return the inverse mapping: old edge id -> new edge id or ``-1``."""
-        return self.new_of_old
-
     def inserted_edge_ids(self) -> np.ndarray:
         """Return the new edge ids the delta inserted, in ascending order."""
         return np.nonzero(self.edge_origin < 0)[0]
@@ -186,6 +211,7 @@ class CSRGraph:
         labels: list[Hashable],
         ids: dict[Hashable, int],
         label_cache: dict[str, object] | None = None,
+        retained: object = None,
     ) -> None:
         self.indptr = indptr
         self.indices = indices
@@ -196,9 +222,10 @@ class CSRGraph:
         self._ids = ids
         #: The per-node-set memo of :meth:`label_memo`, shared like ``_labels``.
         self._label_cache = {} if label_cache is None else label_cache
-        #: Keeps the shared-memory bundle backing the arrays alive (set by
-        #: :meth:`from_shared`; ``None`` for ordinary in-process snapshots).
-        self._retained = None
+        #: Keeps whatever backs the arrays alive, such as the shared-memory
+        #: bundle a decoded snapshot's arrays view (``None`` for arrays the
+        #: snapshot owns).
+        self._retained = retained
 
     # ------------------------------------------------------------------
     # construction
@@ -217,104 +244,70 @@ class CSRGraph:
             labels = sorted(graph.nodes(), key=repr)
         ids = {label: position for position, label in enumerate(labels)}
         num_nodes = len(labels)
-
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        for position, label in enumerate(labels):
-            indptr[position + 1] = graph.degree(label)
-        np.cumsum(indptr, out=indptr)
-
-        total_slots = int(indptr[-1])
-        indices = np.empty(total_slots, dtype=np.int64)
-        for position, label in enumerate(labels):
-            row = sorted(ids[other] for other in graph.neighbors(label))
-            indices[indptr[position]:indptr[position + 1]] = row
-
-        # Edge ids in row-major (u, v) order with u < v.  A reverse slot
-        # (u, v) with v < u always refers to an edge already assigned in row
-        # v, so a single pass with a lookup table suffices.
-        slot_edge = np.empty(total_slots, dtype=np.int64)
-        edge_u: list[int] = []
-        edge_v: list[int] = []
-        assigned: dict[tuple[int, int], int] = {}
-        next_edge = 0
-        for u in range(num_nodes):
-            for slot in range(int(indptr[u]), int(indptr[u + 1])):
-                v = int(indices[slot])
-                if u < v:
-                    slot_edge[slot] = next_edge
-                    assigned[(u, v)] = next_edge
-                    edge_u.append(u)
-                    edge_v.append(v)
-                    next_edge += 1
-                else:
-                    slot_edge[slot] = assigned[(v, u)]
-
+        degrees = np.fromiter(map(graph.degree, labels), dtype=np.int64, count=num_nodes)
+        rows = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        neighbors = np.fromiter(
+            (ids[other] for label in labels for other in graph.neighbors(label)),
+            dtype=np.int64,
+            count=rows.size,
+        )
+        # Keep each edge once, as (u, v) with u < v, in row-major order.
+        forward = rows < neighbors
+        edge_u, edge_v = rows[forward], neighbors[forward]
+        order = np.argsort(edge_u * (num_nodes + 1) + edge_v)
+        edge_u, edge_v = edge_u[order], edge_v[order]
+        indptr, indices, slot_edge = _row_major_slots(num_nodes, edge_u, edge_v)
         return cls(
             indptr=indptr,
             indices=indices,
             slot_edge=slot_edge,
-            edge_u=np.asarray(edge_u, dtype=np.int64),
-            edge_v=np.asarray(edge_v, dtype=np.int64),
+            edge_u=edge_u,
+            edge_v=edge_v,
             labels=labels,
             ids=ids,
         )
 
-    #: Array attributes exported to / imported from shared memory, in order.
-    _SHARED_ARRAYS = ("indptr", "indices", "slot_edge", "edge_u", "edge_v")
-
-    def to_shared(self, prefix: str, extra_arrays: dict | None = None):
-        """Publish the snapshot's arrays into a shared-memory bundle.
-
-        Returns the owning :class:`~repro.graph.shm.SharedArrayBundle`; its
-        picklable ``meta`` descriptor is what travels to worker processes,
-        which rebuild the snapshot zero-copy via :meth:`from_shared`.
-        ``extra_arrays`` rides along in the same bundle (per-edge trussness,
-        supports, incidence arrays — anything keyed off this snapshot's
-        edge ids); names must not collide with the CSR's own
-        (:data:`_SHARED_ARRAYS`).  The caller owns the bundle's lifecycle:
-        keep it alive while attachers exist, then :meth:`~SharedArrayBundle.unlink`.
-        """
-        from repro.graph.shm import SharedArrayBundle
-
-        arrays = {name: getattr(self, name) for name in self._SHARED_ARRAYS}
-        if extra_arrays:
-            collisions = set(arrays) & set(extra_arrays)
-            if collisions:
-                raise ValueError(f"extra_arrays shadow CSR arrays: {sorted(collisions)}")
-            arrays.update(extra_arrays)
-        return SharedArrayBundle.create(prefix, arrays, objects={"labels": self._labels})
-
-    @classmethod
-    def from_shared(cls, bundle) -> "CSRGraph":
-        """Rebuild a snapshot from an attached shared-memory bundle.
-
-        ``bundle`` is a :class:`~repro.graph.shm.SharedArrayBundle` (either
-        the owner's or an attached one) produced by :meth:`to_shared`.  The
-        returned snapshot's arrays are views straight into the shared pages
-        (zero-copy; read-only on the attaching side) and the snapshot holds
-        a reference to the bundle so the mapping outlives the caller's.
-        """
-        labels = bundle.objects["labels"]
-        csr = cls(
-            indptr=bundle["indptr"],
-            indices=bundle["indices"],
-            slot_edge=bundle["slot_edge"],
-            edge_u=bundle["edge_u"],
-            edge_v=bundle["edge_v"],
-            labels=labels,
-            ids={label: position for position, label in enumerate(labels)},
-        )
-        csr._retained = bundle
-        return csr
-
     def to_graph(self) -> UndirectedGraph:
         """Thaw the snapshot back into a mutable :class:`UndirectedGraph`."""
-        graph = UndirectedGraph()
-        for label in self._labels:
-            graph.add_node(label)
-        for e in range(self.number_of_edges()):
-            graph.add_edge(self._labels[int(self.edge_u[e])], self._labels[int(self.edge_v[e])])
-        return graph
+        return self.thaw(self.label_memo("label_array", label_object_array))
+
+    def thaw(
+        self,
+        label_of: np.ndarray,
+        node_ids: Collection[int] | None = None,
+        edge_ids: Collection[int] | None = None,
+    ) -> UndirectedGraph:
+        """Build the label-space graph of ``node_ids`` joined by ``edge_ids``.
+
+        ``edge_ids=None`` thaws the whole snapshot (:meth:`to_graph`);
+        otherwise ``node_ids`` holds every endpoint of ``edge_ids`` (a
+        kernel's community).  ``label_of`` is the labels' gather table,
+        :func:`label_object_array` memoized per node set (the kernels pass
+        :attr:`~repro.ctc.kernels.QueryKernel.label_array`).  Each neighbour
+        set is filled in ascending id order, the order ``add_edge`` calls in
+        edge-id order give, so a thawed graph iterates like one built edge
+        by edge.
+        """
+        if edge_ids is None:
+            nodes = None
+            indptr, indices = self.indptr, self.indices
+        else:
+            nodes = np.sort(np.fromiter(node_ids, dtype=np.int64, count=len(node_ids)))
+            edges = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
+            local_id = np.empty(self.number_of_nodes(), dtype=np.int64)  # read at nodes only
+            local_id[nodes] = np.arange(nodes.size, dtype=np.int64)
+            indptr, local, _ = _row_major_slots(
+                nodes.size, local_id[self.edge_u[edges]], local_id[self.edge_v[edges]]
+            )
+            indices = nodes[local]
+        row_labels = self._labels if nodes is None else label_of[nodes].tolist()
+        neighbor_labels = label_of[indices].tolist()
+        bounds = indptr.tolist()
+        adjacency = {
+            label: set(neighbor_labels[start:stop])
+            for label, start, stop in zip(row_labels, bounds, bounds[1:])
+        }
+        return UndirectedGraph._from_trusted_parts(adjacency, indices.size // 2)
 
     # ------------------------------------------------------------------
     # delta application
@@ -650,21 +643,13 @@ class CSRGraph:
         new_u = remap[old_u]
         new_v = remap[old_v]
 
-        num_edges = int(edges.size)
-        rows = np.concatenate([new_u, new_v])
-        neighbors = np.concatenate([new_v, new_u])
-        slot_ids = np.concatenate([np.arange(num_edges, dtype=np.int64)] * 2)
-        # Composite-key argsort, equivalent to np.lexsort((neighbors, rows)).
-        order = np.argsort(rows * (num_nodes + 1) + neighbors, kind="stable")
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-
+        indptr, indices, slot_edge = _row_major_slots(num_nodes, new_u, new_v)
         labels = [self._labels[old_id] for old_id in node_origin.tolist()]
         ids = {label: position for position, label in enumerate(labels)}
         sub = CSRGraph(
             indptr=indptr,
-            indices=neighbors[order],
-            slot_edge=slot_ids[order],
+            indices=indices,
+            slot_edge=slot_edge,
             edge_u=new_u,
             edge_v=new_v,
             labels=labels,

@@ -358,7 +358,7 @@ def patch_incidence(
         else np.zeros((0, 3), dtype=np.int64)
     )
     # The surviving rows, remapped to new edge ids (flat, three per row).
-    surviving = np.take(patch.new_ids_of_old(), incidence.edges.ravel())
+    surviving = np.take(patch.new_of_old, incidence.edges.ravel())
     if lost.size:
         surviving = np.delete(surviving, (3 * lost[:, None] + np.arange(3)).ravel())
     surviving = surviving.reshape(-1, 3)
@@ -426,7 +426,7 @@ def _splice_incidence(
 
     # Supports: carried support - lost + fresh, per edge (an inserted
     # edge's origin, -1, reads the appended 0).
-    lost_corners = patch.new_ids_of_old()[incidence.edges[lost].ravel()]
+    lost_corners = patch.new_of_old[incidence.edges[lost].ravel()]
     supports = (
         np.take(np.append(incidence.supports, 0), patch.edge_origin)
         - np.bincount(lost_corners[lost_corners >= 0], minlength=num_new_edges)

@@ -87,8 +87,9 @@ class UndirectedGraph:
     ) -> "UndirectedGraph":
         """Adopt a pre-built adjacency structure *without* per-edge validation.
 
-        Internal bulk-construction seam for array-side producers (the CSR
-        kernels materializing communities): ``adjacency`` must already be a
+        Internal bulk-construction seam for the array side
+        (:meth:`~repro.graph.csr.CSRGraph.thaw`, which thaws snapshots and
+        materializes kernel communities): ``adjacency`` must already be a
         symmetric simple-graph ``node -> neighbour set`` mapping with
         ``num_edges`` distinct undirected edges, and ownership transfers to
         the new graph.  Going through :meth:`add_edge` instead costs two

@@ -189,7 +189,7 @@ def incremental_truss_update(
     # Deletion pass: seed with surviving edges that lost a triangle.
     # ------------------------------------------------------------------
     if patch.removed_edge_ids.size:
-        new_of_old = patch.new_ids_of_old()
+        new_of_old = patch.new_of_old
         old_adjacency = _LazyAdjacency(old_csr)
         seeds = set()
         for old_edge in patch.removed_edge_ids.tolist():

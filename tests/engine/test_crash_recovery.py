@@ -45,7 +45,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import CTCEngine, DurabilityConfig
 from repro.exceptions import WalCorruptionError
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import complete_graph, erdos_renyi_graph
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -479,3 +479,52 @@ class TestCheckpointCrashWindows:
             _assert_bit_identical(oracle.snapshot(), recovered.snapshot())
         finally:
             recovered.close()
+
+    def test_unreadable_checkpoint_over_trimmed_wal_refuses(self, tmp_path):
+        """No checkpoint loads and the WAL lost its bootstrap → refuse, not empty."""
+        data_dir = tmp_path / "store"
+        engine = CTCEngine(
+            complete_graph(6),
+            durability=DurabilityConfig(path=data_dir, fsync="off", checkpoint_every=None),
+        )
+        for u, v in ((0, 6), (1, 7)):
+            engine.add_edge(u, v)
+            published = engine.checkpoint()
+        engine.close()
+        with open(os.path.join(published, "labels.pkl"), "r+b") as handle:
+            handle.truncate(3)
+
+        with pytest.raises(WalCorruptionError):
+            CTCEngine.recover(data_dir)
+
+    def test_recheckpoint_replaces_a_checkpoint_recovery_refused(self, tmp_path):
+        """A re-checkpoint must not keep a refused directory, then trim behind it."""
+        data_dir = tmp_path / "store"
+        engine = CTCEngine(
+            complete_graph(6),
+            durability=DurabilityConfig(path=data_dir, fsync="off", checkpoint_every=None),
+        )
+        for offset in range(8):
+            engine.add_edge(offset % 6, 6 + offset)
+        # Published but never trimmed: a crash between publish and trim.
+        published = engine.durability.checkpoint_store.write(engine.snapshot())
+        engine.close()
+        with open(os.path.join(published, "manifest.json"), "r+b") as handle:
+            handle.seek(-3, os.SEEK_END)
+            flipped = handle.read(1)[0] ^ 0xFF
+            handle.seek(-3, os.SEEK_END)
+            handle.write(bytes([flipped]))
+
+        recovered = CTCEngine.recover(data_dir)
+        assert recovered.last_recovery.checkpoint_version is None
+        assert (recovered.version, recovered.graph.number_of_edges()) == (8, 23)
+        recovered.checkpoint()
+        recovered.close()
+
+        again = CTCEngine.recover(data_dir)
+        try:
+            assert again.last_recovery.checkpoint_version == 8
+            assert (again.version, again.graph.number_of_edges()) == (8, 23)
+            assert again.graph == recovered.graph
+        finally:
+            again.close()

@@ -258,6 +258,21 @@ class TestCheckpointStore:
         loaded = store.load_latest()
         assert loaded is not None and loaded.version == 0
 
+    def test_manifest_missing_an_array_falls_back(self, tmp_path):
+        from repro.graph.disk import read_manifest, write_manifest
+
+        engine = CTCEngine(complete_graph(4))
+        store = CheckpointStore(tmp_path)
+        store.write(engine.snapshot())
+        engine.add_edge(10, 11)
+        newest = store.write(engine.snapshot())
+        manifest_path = os.path.join(newest, "manifest.json")
+        manifest = read_manifest(manifest_path)
+        del manifest["arrays"]["indptr"]
+        write_manifest(manifest_path, manifest)
+        loaded = store.load_latest()
+        assert loaded is not None and loaded.version == 0
+
     def test_verify_catches_flipped_array_bytes(self, tmp_path, snapshot):
         store = CheckpointStore(tmp_path)
         path = store.write(snapshot)

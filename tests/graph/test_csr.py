@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine import CTCEngine
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import GraphDelta
@@ -50,6 +53,109 @@ class TestConstruction:
     def test_roundtrip_equality(self):
         graph = erdos_renyi_graph(25, 0.2, seed=4)
         assert CSRGraph.from_graph(graph).to_graph() == graph
+
+
+def _reference_freeze(graph: UndirectedGraph) -> dict:
+    """The freeze spelled out edge by edge: what ``from_graph`` must return."""
+    try:
+        labels = sorted(graph.nodes())
+    except TypeError:
+        labels = sorted(graph.nodes(), key=repr)
+    ids = {label: position for position, label in enumerate(labels)}
+    rows = [sorted(ids[other] for other in graph.neighbors(label)) for label in labels]
+    edges = [(u, v) for u, row in enumerate(rows) for v in row if u < v]
+    edge_id = {edge: e for e, edge in enumerate(edges)}
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return {
+        "labels": labels,
+        "indptr": indptr,
+        "indices": [v for row in rows for v in row],
+        "slot_edge": [edge_id[(min(u, v), max(u, v))] for u, row in enumerate(rows) for v in row],
+        "edge_u": [u for u, _ in edges],
+        "edge_v": [v for _, v in edges],
+    }
+
+
+_LABELS = {
+    "int": st.integers(-5, 40),
+    "str": st.text(alphabet="abcx", max_size=3),
+    "tuple": st.tuples(st.integers(0, 3), st.text(alphabet="ab", max_size=1)),
+    "mixed": st.one_of(
+        st.integers(0, 9), st.text(alphabet="ab", max_size=2), st.tuples(st.integers(0, 2))
+    ),
+}
+
+
+@st.composite
+def labelled_graphs(draw, kind: str) -> UndirectedGraph:
+    """A graph over ``kind`` labels, isolated nodes and the empty graph included."""
+    labels = draw(st.lists(_LABELS[kind], unique=True, max_size=14))
+    graph = UndirectedGraph()
+    graph.add_nodes_from(labels)
+    if len(labels) >= 2:
+        pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        for u, v in draw(st.lists(pairs, max_size=40)):
+            if u != v:
+                graph.add_edge(u, v)
+    return graph
+
+
+class TestConversionContracts:
+    """The freeze and the thaw against their edge-by-edge definitions."""
+
+    @pytest.mark.parametrize("kind", sorted(_LABELS))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_from_graph_matches_per_edge_reference(self, kind, data):
+        graph = data.draw(labelled_graphs(kind))
+        csr = CSRGraph.from_graph(graph)
+        expected = _reference_freeze(graph)
+        assert csr.labels() == expected["labels"]
+        for name in ("indptr", "indices", "slot_edge", "edge_u", "edge_v"):
+            array = getattr(csr, name)
+            assert array.dtype == np.int64, name
+            assert array.tolist() == expected[name], name
+
+    @pytest.mark.parametrize("kind", sorted(_LABELS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_to_graph_fills_neighbour_sets_in_ascending_id_order(self, kind, data):
+        graph = data.draw(labelled_graphs(kind))
+        csr = CSRGraph.from_graph(graph)
+        # add_edge in edge-id order inserts every neighbour set's members
+        # in ascending id order; a set's iteration order follows it.
+        built = UndirectedGraph()
+        built.add_nodes_from(csr.labels())
+        for u, v in csr.edges():
+            built.add_edge(u, v)
+        thawed = csr.to_graph()
+        assert thawed == graph
+        assert [(node, list(thawed.neighbors(node))) for node in thawed.nodes()] == [
+            (node, list(built.neighbors(node))) for node in built.nodes()
+        ]
+        for node in thawed.nodes():
+            ascending = set()
+            for neighbor in csr.neighbor_ids(csr.node_id(node)).tolist():
+                ascending.add(csr.node_label(neighbor))
+            assert list(thawed.neighbors(node)) == list(ascending)
+
+    @pytest.mark.parametrize("method", ["truss", "bulk-delete", "lctc"])
+    def test_kernel_result_is_the_thawed_community(self, method):
+        graph = UndirectedGraph(
+            (f"n{u}", f"n{v}") for u, v in erdos_renyi_graph(60, 0.2, seed=11).edges()
+        )
+        engine = CTCEngine(graph)
+        csr = engine.snapshot().csr
+        result = engine.query(["n0", "n1"], method=method)
+        node_ids = [csr.node_id(node) for node in result.graph.nodes()]
+        edge_ids = [csr.edge_id(csr.node_id(u), csr.node_id(v)) for u, v in result.graph.edges()]
+        expected = csr.edge_subgraph(edge_ids, include_node_ids=node_ids).csr.to_graph()
+        assert result.graph == expected
+        assert [(node, list(result.graph.neighbors(node))) for node in result.graph.nodes()] == [
+            (node, list(expected.neighbors(node))) for node in expected.nodes()
+        ]
 
 
 class TestAdjacency:

@@ -3,7 +3,8 @@
 The process-mode serving layer ships frozen snapshot buffers to worker
 processes through :class:`SharedArrayBundle`; these tests pin the ownership
 contract (create → attach → unlink), the zero-copy property, and the
-round-trip equality :meth:`CSRGraph.from_shared` relies on.
+round trip of a snapshot through the codec (:mod:`repro.engine.codec`) and
+a shared bundle that shard workers rely on.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import CTCEngine
+from repro.engine.codec import decode_snapshot, encode_snapshot
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.shm import SharedArrayBundle
@@ -101,10 +103,23 @@ class TestSharedArrayBundle:
         owner.unlink()
 
 
+def _publish(prefix, csr, trussness, incidence=None):
+    """Encode a snapshot into a shared-memory bundle, as a process-mode shard is."""
+    arrays, labels = encode_snapshot(csr, trussness, incidence)
+    return SharedArrayBundle.create(prefix, arrays, objects={"labels": labels})
+
+
+def _attached_snapshot(bundle):
+    """Decode a snapshot from an attached view of ``bundle``, as a shard worker does."""
+    attached = SharedArrayBundle.attach(bundle.meta)
+    return decode_snapshot(attached, attached.objects["labels"])
+
+
 class TestCSRSharedRoundtrip:
     def test_from_shared_reproduces_the_graph(self, csr):
-        with csr.to_shared("repro_test_csr") as bundle:
-            clone = CSRGraph.from_shared(bundle)
+        trussness = np.full(csr.number_of_edges(), 3, dtype=np.int64)
+        with _publish("repro_test_csr", csr, trussness) as bundle:
+            clone, _, _ = _attached_snapshot(bundle)
             assert clone.number_of_nodes() == csr.number_of_nodes()
             assert clone.number_of_edges() == csr.number_of_edges()
             np.testing.assert_array_equal(clone.indptr, csr.indptr)
@@ -114,8 +129,9 @@ class TestCSRSharedRoundtrip:
             assert clone.to_graph() == csr.to_graph()
 
     def test_from_shared_is_zero_copy(self, csr):
-        with csr.to_shared("repro_test_csrz") as bundle:
-            clone = CSRGraph.from_shared(bundle)
+        trussness = np.full(csr.number_of_edges(), 3, dtype=np.int64)
+        with _publish("repro_test_csrz", csr, trussness) as bundle:
+            clone, _, _ = decode_snapshot(bundle, bundle.objects["labels"])
             for name in ("indptr", "indices", "edge_u", "edge_v"):
                 assert np.shares_memory(getattr(clone, name), bundle[name])
 
@@ -124,21 +140,16 @@ class TestCSRSharedRoundtrip:
         graph.add_edge("alpha", "beta")
         graph.add_edge("beta", ("tuple", 3))
         csr = CSRGraph.from_graph(graph)
-        with csr.to_shared("repro_test_lbl") as bundle:
-            clone = CSRGraph.from_shared(bundle)
+        trussness = np.full(csr.number_of_edges(), 2, dtype=np.int64)
+        with _publish("repro_test_lbl", csr, trussness) as bundle:
+            clone, _, incidence = _attached_snapshot(bundle)
             assert clone.to_graph() == graph
+            assert incidence is None
 
     def test_extra_arrays_ride_along(self, csr):
         trussness = np.full(csr.number_of_edges(), 3, dtype=np.int64)
-        with csr.to_shared("repro_test_x", extra_arrays={"trussness": trussness}) as b:
+        with _publish("repro_test_x", csr, trussness) as b:
             np.testing.assert_array_equal(b["trussness"], trussness)
-
-    def test_extra_array_name_collision_rejected(self, csr):
-        with pytest.raises(ValueError):
-            csr.to_shared(
-                "repro_test_c",
-                extra_arrays={"indptr": np.zeros(1, dtype=np.int64)},
-            )
 
 
 class TestEngineFromArrays:
@@ -146,12 +157,9 @@ class TestEngineFromArrays:
         graph = erdos_renyi_graph(30, 0.25, seed=3)
         fresh = CTCEngine(graph)
         snapshot = fresh.snapshot()
-        with snapshot.csr.to_shared(
-            "repro_test_seed",
-            extra_arrays={"trussness": snapshot.trussness},
-        ) as bundle:
-            clone_csr = CSRGraph.from_shared(bundle)
-            seeded = CTCEngine.from_arrays(clone_csr, bundle["trussness"])
+        with _publish("repro_test_seed", snapshot.csr, snapshot.trussness) as bundle:
+            clone_csr, trussness, incidence = _attached_snapshot(bundle)
+            seeded = CTCEngine.from_arrays(clone_csr, trussness, incidence=incidence)
             assert seeded.snapshot().version == 0
             # Seeding skips the decomposition entirely: the first snapshot
             # resolution is a cache hit, not a rebuild.
@@ -166,12 +174,9 @@ class TestEngineFromArrays:
         graph = complete_graph(6)
         base = CTCEngine(graph)
         snapshot = base.snapshot()
-        with snapshot.csr.to_shared(
-            "repro_test_mut", extra_arrays={"trussness": snapshot.trussness}
-        ) as bundle:
-            seeded = CTCEngine.from_arrays(
-                CSRGraph.from_shared(bundle), bundle["trussness"]
-            )
+        with _publish("repro_test_mut", snapshot.csr, snapshot.trussness) as bundle:
+            clone_csr, trussness, _ = _attached_snapshot(bundle)
+            seeded = CTCEngine.from_arrays(clone_csr, trussness)
             seeded.remove_edge(0, 1)
             oracle = CTCEngine(complete_graph(6))
             oracle.remove_edge(0, 1)
